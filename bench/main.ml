@@ -35,7 +35,7 @@ let micro_tests () =
     Am_cloverleaf.App.create
       ~backend:
         (Am_ops.Ops.Cuda_sim
-           { Am_ops.Exec.tile_x = 16; tile_y = 8; strategy = Am_ops.Exec.Cuda_tiled })
+           { Am_ops.Exec.tile_x = 16; tile_y = 8; tile_z = 1; staged = true })
       ~nx:48 ~ny:48 ()
   in
   let airfoil_mpi =

@@ -24,7 +24,7 @@ let run n steps backend ranks check analyze trace obs_json faults recover tile
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
       App.create ~backend:(Ops3.Shared { pool = p }) ~n ()
-    | "cuda" -> App.create ~backend:(Ops3.Cuda_sim Am_ops.Exec3.default_cuda_config) ~n ()
+    | "cuda" -> App.create ~backend:(Ops3.Cuda_sim { Am_ops.Exec.tile_x = 16; tile_y = 4; tile_z = 4; staged = true }) ~n ()
     | "mpi" ->
       let t = App.create ~n () in
       Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n;

@@ -24,7 +24,7 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover til
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
       Tea.create ~backend:(Ops3.Shared { pool = p }) ~n ~dt ()
-    | "cuda" -> Tea.create ~backend:(Ops3.Cuda_sim Am_ops.Exec3.default_cuda_config) ~n ~dt ()
+    | "cuda" -> Tea.create ~backend:(Ops3.Cuda_sim { Am_ops.Exec.tile_x = 16; tile_y = 4; tile_z = 4; staged = true }) ~n ~dt ()
     | "mpi" ->
       let t = Tea.create ~n ~dt () in
       Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n;

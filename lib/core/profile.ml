@@ -99,8 +99,14 @@ let record_halo t ~name ?(overlapped = 0.0) ~seconds () =
 (* GC deltas are sampled by the facades around loop execution only while
    span tracing is on ([Gc.quick_stat] is cheap but not free), so these
    cells stay zero on untraced runs. *)
-let record_gc t ~name ~minor ~major ~promoted_words =
-  if t.enabled then begin
+let gc_sample () = if Obs.tracing () then Some (Gc.quick_stat ()) else None
+
+let record_gc t ~name = function
+  | Some g0 when t.enabled ->
+    let g1 = Gc.quick_stat () in
+    let minor = g1.Gc.minor_collections - g0.Gc.minor_collections in
+    let major = g1.Gc.major_collections - g0.Gc.major_collections in
+    let promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words in
     let c = cells t name in
     Counters.add c.cc_gc_minor minor;
     Counters.add c.cc_gc_major major;
@@ -108,7 +114,7 @@ let record_gc t ~name ~minor ~major ~promoted_words =
     Counters.add Obs.gc_minor minor;
     Counters.add Obs.gc_major major;
     Counters.addf Obs.gc_promoted promoted_words
-  end
+  | Some _ | None -> ()
 
 let snapshot c =
   {

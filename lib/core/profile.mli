@@ -31,9 +31,13 @@ val record_halo : t -> name:string -> ?overlapped:float -> seconds:float -> unit
     core computation.  Non-zero exposed waits also feed
     [Obs.halo_seconds]. *)
 
-val record_gc : t -> name:string -> minor:int -> major:int -> promoted_words:float -> unit
-(** Accumulate [Gc.quick_stat] deltas for one loop execution.  Facades call
-    this only while span tracing is enabled, so untraced runs pay nothing. *)
+val gc_sample : unit -> Gc.stat option
+(** [Gc.quick_stat] before one loop execution, taken only while span tracing
+    is enabled ([None] otherwise), so untraced runs pay nothing. *)
+
+val record_gc : t -> name:string -> Gc.stat option -> unit
+(** Accumulate the GC deltas since a {!gc_sample} for one loop execution;
+    a no-op on [None]. *)
 
 val find : t -> string -> entry option
 (** A snapshot of the loop's accumulated totals (mutating it has no effect

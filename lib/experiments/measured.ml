@@ -143,7 +143,7 @@ let cloverleaf_overhead ?(nx = 96) ?(ny = 96) ?(steps = 5) () =
              ~backend:
                (Ops.Cuda_sim
                   { Am_ops.Exec.tile_x = 32; tile_y = 4;
-                    strategy = Am_ops.Exec.Cuda_tiled })
+                    tile_z = 1; staged = true })
              ~nx ~ny ()
          in
          ignore (Am_cloverleaf.App.run t ~steps)));

@@ -163,10 +163,10 @@ let compile ?(resolvers = global_resolvers) args =
   Array.of_list (List.map compile_one args)
 
 (* A cached executor is only valid while the argument list still resolves to
-   the same backing stores: [Op2.update], [convert_layout] and the SoA
-   conversion replace [dat.data] wholesale, and renumbering rewrites map
-   tables.  Physical equality makes the check one pointer compare per
-   argument. *)
+   the same backing stores: [convert_layout] and the SoA conversion replace
+   [dat.data] wholesale ([Op2.update] writes into it in place), and
+   renumbering rewrites map tables.  Physical equality makes the check one
+   pointer compare per argument. *)
 let compiled_matches compiled args =
   Array.length compiled = List.length args
   && List.for_all2

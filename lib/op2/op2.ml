@@ -160,9 +160,16 @@ let update ctx dat data =
   (match ctx.dist with
   | Some d -> Dist.push d dat data
   | None ->
-    dat.Types.data <-
-      Types.convert_array ~from_layout:Types.Aos ~to_layout:dat.Types.layout
-        ~n:(Types.dat_n_elems dat) ~dim:dat.Types.dim data)
+    (* Written into the dataset's own array: the caller's array is never
+       aliased, and cached executors keep a valid backing store. *)
+    let n = Types.dat_n_elems dat and dim = dat.Types.dim in
+    if dat.Types.layout = Types.Aos then Array.blit data 0 dat.Types.data 0 (n * dim)
+    else
+      for elem = 0 to n - 1 do
+        for comp = 0 to dim - 1 do
+          Types.dat_set_value dat ~elem ~comp data.((elem * dim) + comp)
+        done
+      done)
 
 let convert_layout ctx dat layout =
   if ctx.dist <> None then
@@ -521,7 +528,7 @@ let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set args
   let foot = footprint ctx ?handle descr iter_set args kernel in
   let t0 = now () in
   let traced = Am_obs.Obs.tracing () in
-  let gc0 = if traced then Some (Gc.quick_stat ()) else None in
+  let gc0 = Profile.gc_sample () in
   if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Loop name;
   (match ctx.checkpoint with
   | None -> execute_loop ctx ~name ~foot ?handle iter_set args kernel
@@ -540,14 +547,7 @@ let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle iter_set args
         execute_loop ctx ~name ~foot ?handle iter_set args kernel));
   if traced then Am_obs.Obs.end_span ();
   let seconds = now () -. t0 in
-  (match gc0 with
-  | Some g0 ->
-    let g1 = Gc.quick_stat () in
-    Profile.record_gc ctx.profile ~name
-      ~minor:(g1.Gc.minor_collections - g0.Gc.minor_collections)
-      ~major:(g1.Gc.major_collections - g0.Gc.major_collections)
-      ~promoted_words:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
-  | None -> ());
+  Profile.record_gc ctx.profile ~name gc0;
   Profile.record ctx.profile ~name ~seconds ~bytes:(Descr.total_bytes descr)
     ~elements:iter_set.Types.set_size
 

@@ -9,7 +9,10 @@
 
    Mirroring is centre-aware: cell-centred fields reflect about the cell
    interface (ghost -k <-> interior k-1), node-centred fields about the
-   boundary node (ghost -k <-> interior k). *)
+   boundary node (ghost -k <-> interior k).  Axes are mirrored from the
+   outermost inwards; each axis covers the interior of the axes below it
+   and the whole stored extent (ghosts included) of the axes above it, so
+   edges and corners come out consistent without communication. *)
 
 open Types
 
@@ -20,44 +23,41 @@ let mirror_low centering k = match centering with Cell -> k - 1 | Node -> k
 let mirror_high centering size k =
   match centering with Cell -> size - k | Node -> size - 1 - k
 
-(* Apply on a raw accessor so the distributed backend can reuse the logic on
-   rank-local windows. [rows] restricts the y range handled (global row
-   numbering, half-open). *)
-let apply_via ~get ~set ~(dat : dat) ~depth ~sign_x ~sign_y ~center_x ~center_y
-    ~row_lo ~row_hi =
+(* Mirror [dat] in the storage addressed by [view].  [owned] is the box of
+   points this storage owns (global numbering; a ghost cell is written only
+   by its owner) and [stored] the box it holds, within the dataset's
+   addressable box.  [signs]/[centers] are per axis. *)
+let apply ~view ~(dat : dat) ~owned ~stored ~depth ~signs ~centers =
   if depth > dat.halo then invalid_arg "Boundary.mirror: depth exceeds ghost ring";
-  (* Vertical (y) mirrors: global ghost rows, owned by edge ranks. *)
-  for k = 1 to depth do
-    let pairs =
-      [ (-k, mirror_low center_y k); (dat.ysize - 1 + k, mirror_high center_y dat.ysize k) ]
-    in
-    List.iter
-      (fun (ghost_y, src_y) ->
-        if ghost_y >= row_lo && ghost_y < row_hi then
-          for x = 0 to dat.xsize - 1 do
-            for c = 0 to dat.dim - 1 do
-              set x ghost_y c (sign_y *. get x src_y c)
-            done
-          done)
-      pairs
-  done;
-  (* Horizontal (x) mirrors on every locally stored row, ghost rows included
-     so corners are consistent without communication. *)
-  let y_lo = max (-dat.halo) (row_lo - dat.halo) in
-  let y_hi = min (dat.ysize + dat.halo) (row_hi + dat.halo) in
-  for y = y_lo to y_hi - 1 do
+  for a = dat.dat_block.ndim - 1 downto 0 do
+    let n = size dat a in
+    let box = ref stored in
+    for b = 0 to a - 1 do
+      box :=
+        with_axis !box b (max 0 (range_lo stored b)) (min (size dat b) (range_hi stored b))
+    done;
+    (* A ghost layer is its source layer shifted along [a]. *)
+    let stride = match a with 0 -> view.vcol | 1 -> view.vrow | _ -> view.vplane in
     for k = 1 to depth do
-      for c = 0 to dat.dim - 1 do
-        set (-k) y c (sign_x *. get (mirror_low center_x k) y c);
-        set (dat.xsize - 1 + k) y c (sign_x *. get (mirror_high center_x dat.xsize k) y c)
-      done
+      List.iter
+        (fun (g, src) ->
+          if g >= range_lo owned a && g < range_hi owned a then begin
+            let r = with_axis !box a g (g + 1) and shift = (src - g) * stride in
+            for z = r.zlo to r.zhi - 1 do
+              for y = r.ylo to r.yhi - 1 do
+                for x = r.xlo to r.xhi - 1 do
+                  let i = vindex view ~x ~y ~z ~c:0 in
+                  for c = i to i + dat.dim - 1 do
+                    view.vdata.(c) <- signs.(a) *. view.vdata.(c + shift)
+                  done
+                done
+              done
+            done
+          end)
+        [ (-k, mirror_low centers.(a) k); (n - 1 + k, mirror_high centers.(a) n k) ]
     done
   done
 
-let mirror ?(depth = 2) ?(sign_x = 1.0) ?(sign_y = 1.0) ?(center_x = Cell)
-    ?(center_y = Cell) dat =
-  apply_via
-    ~get:(fun x y c -> get dat ~x ~y ~c)
-    ~set:(fun x y c v -> set dat ~x ~y ~c v)
-    ~dat ~depth ~sign_x ~sign_y ~center_x ~center_y ~row_lo:(-dat.halo)
-    ~row_hi:(dat.ysize + dat.halo)
+let mirror ~depth ~signs ~centers dat =
+  let all = addressable dat in
+  apply ~view:(dat_view dat) ~dat ~owned:all ~stored:all ~depth ~signs ~centers

@@ -1,18 +1,26 @@
-(* Distributed-memory backend of OPS: one-dimensional (row) decomposition.
+(* Distributed-memory backend of OPS: Cartesian p0 x p1 x p2 decomposition.
 
-   The reference index space [0, ref_ysize) is split into contiguous row
-   chunks, one per rank.  Each dataset is scattered into per-rank windows
-   holding the owned rows plus a ghost ring of the dataset's halo depth;
-   datasets taller than the reference space (staggered fields, e.g. a
-   CloverLeaf y-velocity with ysize+1 rows) give their extra rows to the
-   last rank, and the global ghost rows at the bottom/top belong to the
-   first/last rank.
+   The production OPS decomposes structured blocks in every dimension (the
+   paper's CloverLeaf runs on Titan use process grids).  The reference
+   index space is split into contiguous chunks along each axis, one per
+   process coordinate; rank r sits at (rx, ry, rz) with
+   r = (rz*py + ry)*px + rx.  One axis split gives the row (2D), chunk (1D)
+   and slab (3D) decompositions, two give the 2D grid and the 3D y x z
+   pencils.  Each dataset is scattered into per-rank windows holding the
+   owned box plus a ghost ring of the dataset's halo depth; edge ranks own
+   the global ghost cells of their side and any extra cells of staggered
+   datasets (e.g. a CloverLeaf y-velocity with ysize+1 rows).
 
    Because OPS writes are center-only, owner-compute needs no reductions:
-   the only communication is the on-demand ghost-row exchange before loops
+   the only communication is the on-demand ghost exchange before loops
    that read through offset stencils — triggered, exactly as in the paper,
-   by the access descriptors and declared stencils.  Whole padded rows are
-   exchanged (x-ghost columns included) so boundary data stays consistent. *)
+   by the access descriptors and declared stencils.  The exchange runs one
+   axis at a time; each slab spans the whole stored extent of the other
+   axes, so a later axis carries the corners filled by an earlier one and
+   no diagonal messages are needed.  Each dataset tracks how many ghost
+   layers are fresh ([fresh_depth]), so a loop whose stencils reach k
+   layers triggers a k-deep exchange, not a full one — OPS's per-stencil
+   update_halo depths. *)
 
 module Obs = Am_obs.Obs
 module Obs_counters = Am_obs.Counters
@@ -22,27 +30,25 @@ module Comm = Am_simmpi.Comm
 open Types
 
 type window = {
-  row_lo : int; (* first owned row (global numbering) *)
-  row_hi : int; (* end of owned rows *)
-  data : float array; (* rows [row_lo - halo, row_hi + halo), parent stride *)
+  owned : range; (* owned points, global numbering, edge ghosts included *)
+  stored : range; (* owned box plus ghosts, within the addressable box *)
+  view : view;
 }
 
-(* [fresh_depth] = how many ghost rows are currently valid (0 after a
-   write, up to the dataset's halo after a full exchange): loops whose
-   stencils reach only k rows deep trigger a k-row exchange, not a full
-   one — OPS's per-stencil update_halo depths. *)
+(* [fresh_depth] = how many ghost layers are currently valid (0 after a
+   write, up to the dataset's halo after a full exchange). *)
 type dat_dist = { windows : window array; mutable fresh_depth : int }
 
-(* Intra-rank execution: hybrid MPI+OpenMP runs each rank's rows through
+(* Intra-rank execution: hybrid MPI+OpenMP runs each rank's box through
    the shared-memory engine (centre-only writes make this race-free with
    no per-rank planning needed). *)
 type rank_exec = Rank_seq | Rank_shared of Am_taskpool.Pool.t
 
 type t = {
   comm : Comm.t;
-  n_ranks : int;
-  ref_ysize : int;
-  chunk : int array; (* chunk.(r) = first reference row of rank r; chunk.(P) = ref *)
+  ndim : int;
+  procs : int array; (* processes per axis; 1 on undecomposed axes *)
+  chunk : int array array; (* chunk.(a).(p) = first reference cell of position p *)
   dat_dists : (int, dat_dist) Hashtbl.t;
   env : env;
   mutable rank_exec : rank_exec;
@@ -50,63 +56,88 @@ type t = {
   mutable overlap : bool; (* post exchange, run interior, wait, run boundary *)
 }
 
-(* Owned-row interval of dataset [dat] on rank [r]. *)
-let owned_rows t dat r =
-  let lo = if r = 0 then -dat.halo else t.chunk.(r) in
-  let hi = if r = t.n_ranks - 1 then dat.ysize + dat.halo else t.chunk.(r + 1) in
-  (lo, hi)
+let n_ranks t = t.procs.(0) * t.procs.(1) * t.procs.(2)
 
-(* Executing rank of a loop row (global numbering, ghost rows included). *)
-let rank_of_row t y =
-  if y < t.chunk.(1) then 0
-  else if y >= t.chunk.(t.n_ranks - 1) then t.n_ranks - 1
-  else begin
-    let r = ref 1 in
-    while not (y >= t.chunk.(!r) && y < t.chunk.(!r + 1)) do
-      incr r
-    done;
-    !r
-  end
+(* Process coordinate of rank [r] along [axis], and the rank distance
+   between neighbours along it. *)
+let pos t r axis =
+  match axis with
+  | 0 -> r mod t.procs.(0)
+  | 1 -> r / t.procs.(0) mod t.procs.(1)
+  | _ -> r / (t.procs.(0) * t.procs.(1))
 
-let window_index dat w ~x ~y ~c =
-  let padded_width = dat.xsize + (2 * dat.halo) in
-  ((((y - (w.row_lo - dat.halo)) * padded_width) + (x + dat.halo)) * dat.dim) + c
+let rank_step t axis =
+  match axis with 0 -> 1 | 1 -> t.procs.(0) | _ -> t.procs.(0) * t.procs.(1)
 
-let window_view dat w : Exec.view =
-  let padded_width = dat.xsize + (2 * dat.halo) in
-  {
-    Exec.vdata = w.data;
-    vbase = (((dat.halo - w.row_lo) * padded_width) + dat.halo) * dat.dim;
-    vrow = padded_width * dat.dim;
-    vcol = dat.dim;
-  }
+(* Owned interval of rank [r] along [axis], intersected with [lo, hi): the
+   edge positions extend to the bounds. *)
+let own_axis t r axis ~lo ~hi =
+  let p = pos t r axis in
+  ( (if p = 0 then lo else max lo t.chunk.(axis).(p)),
+    if p = t.procs.(axis) - 1 then hi else min hi t.chunk.(axis).(p + 1) )
 
-let build env ~n_ranks ~ref_ysize =
-  if n_ranks <= 0 then invalid_arg "Ops dist: n_ranks must be positive";
-  if ref_ysize < n_ranks then invalid_arg "Ops dist: fewer rows than ranks";
-  let max_halo =
-    List.fold_left (fun acc d -> max acc d.halo) 0 (dats env)
+let box_of f =
+  let (xlo, xhi), (ylo, yhi), (zlo, zhi) = (f 0, f 1, f 2) in
+  { xlo; xhi; ylo; yhi; zlo; zhi }
+
+let nonempty r = r.xlo < r.xhi && r.ylo < r.yhi && r.zlo < r.zhi
+
+let make_window t dat r =
+  let owned =
+    box_of (fun a -> own_axis t r a ~lo:(lo_bound dat a) ~hi:(hi_bound dat a))
   in
-  let chunk = Array.init (n_ranks + 1) (fun r -> r * ref_ysize / n_ranks) in
-  for r = 0 to n_ranks - 1 do
-    if n_ranks > 1 && chunk.(r + 1) - chunk.(r) < max_halo then
-      invalid_arg
-        (Printf.sprintf
-           "Ops dist: rank %d owns %d rows, fewer than the ghost depth %d" r
-           (chunk.(r + 1) - chunk.(r)) max_halo)
-  done;
+  let stored =
+    box_of (fun a ->
+        ( max (lo_bound dat a) (range_lo owned a - ghost dat a),
+          min (hi_bound dat a) (range_hi owned a + ghost dat a) ))
+  in
+  let view = box_view (Array.make (range_size stored * dat.dim) 0.0) ~dim:dat.dim stored in
+  { owned; stored; view }
+
+let dat_dist t dat = Hashtbl.find t.dat_dists dat.dat_id
+
+(* Push the global array's current contents into every window (ghosts too). *)
+let push t dat =
+  let dd = dat_dist t dat in
+  let src = dat_view dat in
+  Array.iter (fun w -> copy_box ~src ~dst:w.view ~dim:dat.dim w.stored) dd.windows;
+  dd.fresh_depth <- dat.halo
+
+let build env ~ndim ~procs ~refs =
+  if Array.exists (fun p -> p <= 0) procs then
+    invalid_arg "Ops dist: process counts must be positive";
+  let max_halo = List.fold_left (fun acc d -> max acc d.halo) 0 (dats env) in
+  let chunk =
+    Array.init 3 (fun a ->
+        let p = procs.(a) and n = refs.(a) in
+        if n < p then
+          invalid_arg (Printf.sprintf "Ops dist: %d cells for %d ranks on axis %d" n p a);
+        let c = Array.init (p + 1) (fun r -> r * n / p) in
+        for r = 0 to p - 1 do
+          if p > 1 && c.(r + 1) - c.(r) < max_halo then
+            invalid_arg
+              (Printf.sprintf
+                 "Ops dist: axis %d chunk %d owns %d cells, fewer than the ghost depth %d"
+                 a r
+                 (c.(r + 1) - c.(r)) max_halo)
+        done;
+        c)
+  in
   List.iter
     (fun d ->
-      if d.ysize < ref_ysize then
-        invalid_arg
-          (Printf.sprintf "Ops dist: dat %s has %d rows, reference space has %d"
-             d.dat_name d.ysize ref_ysize))
+      for a = 0 to 2 do
+        if size d a < refs.(a) then
+          invalid_arg
+            (Printf.sprintf
+               "Ops dist: dat %s has %d cells on axis %d, reference space has %d" d.dat_name
+               (size d a) a refs.(a))
+      done)
     (dats env);
   let t =
     {
-      comm = Comm.create ~n_ranks;
-      n_ranks;
-      ref_ysize;
+      comm = Comm.create ~n_ranks:(procs.(0) * procs.(1) * procs.(2));
+      ndim;
+      procs;
       chunk;
       dat_dists = Hashtbl.create 16;
       env;
@@ -117,104 +148,100 @@ let build env ~n_ranks ~ref_ysize =
   in
   List.iter
     (fun dat ->
-      let padded_width = dat.xsize + (2 * dat.halo) in
-      let windows =
-        Array.init n_ranks (fun r ->
-            let row_lo, row_hi = owned_rows t dat r in
-            let rows = row_hi - row_lo + (2 * dat.halo) in
-            let w = { row_lo; row_hi; data = Array.make (rows * padded_width * dat.dim) 0.0 } in
-            (* Scatter from the global array, clamped to its addressable rows. *)
-            for y = max (y_min dat) (row_lo - dat.halo)
-                to min (y_max dat - 1) (row_hi + dat.halo - 1) do
-              for x = -dat.halo to dat.xsize + dat.halo - 1 do
-                for c = 0 to dat.dim - 1 do
-                  w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~c
-                done
-              done
-            done;
-            w)
-      in
-      Hashtbl.add t.dat_dists dat.dat_id { windows; fresh_depth = dat.halo })
+      let windows = Array.init (n_ranks t) (make_window t dat) in
+      Hashtbl.add t.dat_dists dat.dat_id { windows; fresh_depth = 0 };
+      push t dat)
     (dats env);
   t
 
-let dat_dist t dat = Hashtbl.find t.dat_dists dat.dat_id
+(* Ghost slab of depth [h] that rank window [w] receives on the [upper] or
+   lower side of [axis] — the same global box its neighbour sends from its
+   owned layers, spanning the whole stored extent of the other axes. *)
+let ghost_slab w axis h ~upper =
+  let b = range_hi w.owned axis and a = range_lo w.owned axis in
+  if upper then with_axis w.stored axis b (b + h) else with_axis w.stored axis (a - h) a
 
-(* Copy [count] whole padded rows starting at global row [row] into a flat
-   payload, and back. *)
-let pack_rows dat w ~row ~count =
-  let padded_width = dat.xsize + (2 * dat.halo) in
-  let out = Array.make (count * padded_width * dat.dim) 0.0 in
-  let base = window_index dat w ~x:(-dat.halo) ~y:row ~c:0 in
-  Array.blit w.data base out 0 (Array.length out);
-  out
+(* Post the [h]-deep exchange along [axis]: for every neighbour pair
+   (r, rn) along it, r's top owned layers go to rn's lower ghosts and rn's
+   bottom owned layers to r's upper ghosts.  Returns the posted receives,
+   tagged with the receiving window and side. *)
+let post_axis t dat dd axis h =
+  let traced = Obs.tracing () in
+  let send ~src ~dst box =
+    if traced then Obs.begin_span ~lane:src ~cat:Cat.Halo_pack "pack";
+    let payload = Array.make (range_size box * dat.dim) 0.0 in
+    copy_box ~src:dd.windows.(src).view ~dst:(box_view payload ~dim:dat.dim box) ~dim:dat.dim
+      box;
+    if traced then Obs.end_span ~lane:src ();
+    ignore (Comm.isend t.comm ~src ~dst payload)
+  in
+  let pairs =
+    List.filter_map
+      (fun r ->
+        if pos t r axis < t.procs.(axis) - 1 then Some (r, r + rank_step t axis) else None)
+      (List.init (n_ranks t) Fun.id)
+  in
+  List.iter
+    (fun (r, rn) ->
+      send ~src:r ~dst:rn (ghost_slab dd.windows.(rn) axis h ~upper:false);
+      send ~src:rn ~dst:r (ghost_slab dd.windows.(r) axis h ~upper:true))
+    pairs;
+  List.concat_map
+    (fun (r, rn) ->
+      [
+        (rn, false, Comm.irecv t.comm ~src:r ~dst:rn);
+        (r, true, Comm.irecv t.comm ~src:rn ~dst:r);
+      ])
+    pairs
 
-let unpack_rows dat w ~row payload =
-  let base = window_index dat w ~x:(-dat.halo) ~y:row ~c:0 in
-  Array.blit payload 0 w.data base (Array.length payload)
+let complete_axis t dat dd axis h recvs =
+  let traced = Obs.tracing () in
+  List.iter
+    (fun (r, upper, req) ->
+      let payload = Comm.wait t.comm req in
+      let w = dd.windows.(r) in
+      if traced then Obs.begin_span ~lane:r ~cat:Cat.Halo_unpack "unpack";
+      let box = ghost_slab w axis h ~upper in
+      copy_box ~src:(box_view payload ~dim:dat.dim box) ~dst:w.view ~dim:dat.dim box;
+      if traced then Obs.end_span ~lane:r ())
+    recvs
 
-(* An in-flight ghost-row exchange: the exchanged depth and the posted
-   receives, each tagged with the receiving rank and whether the payload
-   lands in its bottom ghost (sent by the rank below) or top ghost. *)
+let split_axes t = List.filter (fun a -> t.procs.(a) > 1) [ 0; 1; 2 ]
+
+(* An in-flight exchange: its depth and the posted receives of the first
+   split axis; the later axes run at completion, after the corners they
+   carry have arrived. *)
 type token = { tok_h : int; tok_recvs : (int * bool * Comm.request) list }
 
-(* Neighbour ghost-row exchange for one dataset, to [depth] rows: pack/post
-   half.  On-demand by default (skip — [None] — when the dirty-bit says
-   enough ghost rows are fresh); [eager_halo] forces a full exchange every
-   time, for the halo-policy ablation. *)
+(* Pack/post half of a dataset's exchange to [depth] layers.  On-demand by
+   default (skip — [None] — when enough ghost layers are fresh);
+   [eager_halo] forces a full exchange every time, for the halo-policy
+   ablation. *)
 let exchange_start ?depth t dat =
   let dd = dat_dist t dat in
   let need = match depth with Some d -> min d dat.halo | None -> dat.halo in
   if dd.fresh_depth < need || t.eager_halo then begin
     Comm.count_exchange t.comm;
     let h = if t.eager_halo then dat.halo else need in
-    if h = 0 then begin
+    match split_axes t with
+    | first :: _ when h > 0 -> Some { tok_h = h; tok_recvs = post_axis t dat dd first h }
+    | _ ->
       dd.fresh_depth <- max dd.fresh_depth h;
       None
-    end
-    else begin
-      let traced = Obs.tracing () in
-      for r = 0 to t.n_ranks - 2 do
-        let w = dd.windows.(r) and wn = dd.windows.(r + 1) in
-        (* r's top owned rows -> (r+1)'s bottom ghost. *)
-        if traced then Obs.begin_span ~lane:r ~cat:Cat.Halo_pack "pack_rows";
-        let up = pack_rows dat w ~row:(w.row_hi - h) ~count:h in
-        if traced then Obs.end_span ~lane:r ();
-        ignore (Comm.isend t.comm ~src:r ~dst:(r + 1) up);
-        (* (r+1)'s bottom owned rows -> r's top ghost. *)
-        if traced then Obs.begin_span ~lane:(r + 1) ~cat:Cat.Halo_pack "pack_rows";
-        let down = pack_rows dat wn ~row:wn.row_lo ~count:h in
-        if traced then Obs.end_span ~lane:(r + 1) ();
-        ignore (Comm.isend t.comm ~src:(r + 1) ~dst:r down)
-      done;
-      let recvs = ref [] in
-      for r = t.n_ranks - 2 downto 0 do
-        recvs :=
-          (r + 1, true, Comm.irecv t.comm ~src:r ~dst:(r + 1))
-          :: (r, false, Comm.irecv t.comm ~src:(r + 1) ~dst:r)
-          :: !recvs
-      done;
-      Some { tok_h = h; tok_recvs = !recvs }
-    end
   end
   else None
 
-(* Wait half: completes the receives and unpacks the h ghost rows nearest
-   each boundary — [row_lo - h, row_lo) below, [row_hi, row_hi + h) above. *)
+(* Wait half: completes the first axis, then exchanges the remaining split
+   axes in order. *)
 let exchange_finish t dat token =
   let dd = dat_dist t dat in
   let h = token.tok_h in
-  let traced = Obs.tracing () in
-  List.iter
-    (fun (r, from_below, req) ->
-      let payload = Comm.wait t.comm req in
-      let w = dd.windows.(r) in
-      let row = if from_below then w.row_lo - h else w.row_hi in
-      if traced then Obs.begin_span ~lane:r ~cat:Cat.Halo_unpack "unpack_rows";
-      unpack_rows dat w ~row payload;
-      if traced then Obs.end_span ~lane:r ())
-    token.tok_recvs;
-  dd.fresh_depth <- max dd.fresh_depth h
+  match split_axes t with
+  | first :: rest ->
+    complete_axis t dat dd first h token.tok_recvs;
+    List.iter (fun a -> complete_axis t dat dd a h (post_axis t dat dd a h)) rest;
+    dd.fresh_depth <- max dd.fresh_depth h
+  | [] -> ()
 
 let exchange ?depth t dat =
   match exchange_start ?depth t dat with
@@ -225,7 +252,7 @@ let exchange ?depth t dat =
 
 let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~range
     ~args ~kernel =
-  (* Grid-transfer strides cross the row decomposition arbitrarily:
+  (* Grid-transfer strides cross the decomposition arbitrarily:
      unsupported on partitioned contexts (multigrid levels would need a
      proportional decomposition). *)
   List.iter
@@ -233,7 +260,7 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
       | Arg_dat { stride; _ } when not (is_unit_stride stride) ->
         invalid_arg "ops-mpi: strided (grid-transfer) stencils are unsupported on \
                      partitioned contexts"
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   (* Ghost exchanges for stencil-read datasets (deduplicated per dataset).
      When footprint inference proved the kernel's read extent shallower
@@ -259,52 +286,43 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
           let prev = try Hashtbl.find seen dat.dat_id with Not_found -> 0 in
           if need > prev then Hashtbl.replace seen dat.dat_id need
         end
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   let needs =
-    Hashtbl.fold
-      (fun dat_id need acc ->
-        (List.find (fun d -> d.dat_id = dat_id) (dats t.env), need) :: acc)
-      seen []
-    |> List.sort (fun (a, _) (b, _) -> compare a.dat_id b.dat_id)
+    List.filter_map
+      (fun d -> Option.map (fun need -> (d, need)) (Hashtbl.find_opt seen d.dat_id))
+      (dats t.env)
   in
   let exposed = ref 0.0 and xfer = ref 0.0 in
-  (* Rows of the range rank [r] executes (contiguous by construction). *)
-  let rank_rows r =
-    let lo = ref max_int and hi = ref min_int in
-    for y = range.ylo to range.yhi - 1 do
-      if rank_of_row t y = r then begin
-        if y < !lo then lo := y;
-        if y + 1 > !hi then hi := y + 1
-      end
-    done;
-    if !lo > !hi then None else Some (!lo, !hi)
+  (* Sub-box of the range rank [r] executes: its owned region of the
+     reference space, the edge positions extending without bound. *)
+  let rank_box r =
+    let b =
+      box_of (fun a -> own_axis t r a ~lo:(range_lo range a) ~hi:(range_hi range a))
+    in
+    if nonempty b then Some b else None
   in
-  let run_rows r ~lo ~hi =
-    if hi > lo then begin
+  let run_box r box =
+    if nonempty box then begin
       let resolvers =
-        { Exec.resolve_dat = (fun d -> window_view d (dat_dist t d).windows.(r)) }
+        { Exec.resolve_dat = (fun d -> (dat_dist t d).windows.(r).view) }
       in
       match t.rank_exec with
-      | Rank_seq ->
-        Exec.run_seq ~resolvers ~range:{ range with ylo = lo; yhi = hi } ~args
-          ~kernel ()
+      | Rank_seq -> Exec.run_seq ~resolvers ~range:box ~args ~kernel ()
       | Rank_shared pool ->
-        Exec.run_shared ~resolvers pool
-          ~range:{ range with ylo = lo; yhi = hi }
-          ~args ~kernel
+        Exec.run_shared ~resolvers ~axis:(t.ndim - 1) pool ~range:box ~args ~kernel
     end
   in
-  (* A global Inc reduction is summed in row order: splitting the range
-     would reorder the additions and change the rounding, so such loops
-     keep the blocking exchange.  Min/Max reductions and dat writes are
-     order-insensitive. *)
+  (* A global Inc reduction is summed in iteration order: splitting the
+     range would reorder the additions and change the rounding, so such
+     loops keep the blocking exchange.  Min/Max reductions and dat writes
+     are order-insensitive. *)
   let splittable =
     not
       (List.exists
          (function
            | Arg_gbl { access = Access.Inc; _ } -> true
-           | Arg_gbl _ | Arg_dat _ | Arg_idx -> false)
+           | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> false)
          args)
   in
   let tokens =
@@ -326,71 +344,64 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
           Option.map (fun tok -> (dat, tok, need)) tok)
         needs
   in
-  if tokens = [] then
-    for r = 0 to t.n_ranks - 1 do
-      match rank_rows r with
-      | None -> ()
-      | Some (lo, hi) -> run_rows r ~lo ~hi
-    done
+  let ranks = List.init (n_ranks t) Fun.id in
+  if tokens = [] then List.iter (fun r -> Option.iter (run_box r) (rank_box r)) ranks
   else begin
-    (* Interior/boundary split: rows whose stencils stay inside the owned
-       interval run while the ghost rows are in flight; the strips within
-       [margin] of an internal partition boundary wait.  Centre-only writes
-       make the order immaterial, so results match blocking bitwise. *)
-    let margin =
-      List.fold_left (fun acc (_, _, need) -> max acc need) 0 tokens
+    (* Interior/boundary split: the interior box stays [margin] away from
+       every internal partition boundary, so its stencils never read a
+       ghost in flight and it never writes a layer a later exchange axis
+       packs at wait time; it runs while the messages are in flight, and
+       the boundary frame after the waits.  Centre-only writes make the
+       order immaterial, so results match blocking bitwise. *)
+    let margin = List.fold_left (fun acc (_, _, need) -> max acc need) 0 tokens in
+    let interior r box =
+      box_of (fun a ->
+          let lo = range_lo box a and hi = range_hi box a and p = pos t r a in
+          let ilo = if p > 0 then max lo (min hi (t.chunk.(a).(p) + margin)) else lo in
+          let ihi =
+            if p < t.procs.(a) - 1 then min hi (max ilo (t.chunk.(a).(p + 1) - margin))
+            else hi
+          in
+          (ilo, max ilo ihi))
     in
     let bounds =
-      Array.init t.n_ranks (fun r ->
-          match rank_rows r with
-          | None -> None
-          | Some (lo, hi) ->
-            let int_lo =
-              if r > 0 then max lo (min hi (t.chunk.(r) + margin)) else lo
-            in
-            let int_hi =
-              if r < t.n_ranks - 1 then
-                min hi (max int_lo (t.chunk.(r + 1) - margin))
-              else hi
-            in
-            Some (lo, hi, int_lo, max int_lo int_hi))
+      List.filter_map
+        (fun r -> Option.map (fun b -> (r, b, interior r b)) (rank_box r))
+        ranks
     in
     let traced = Obs.tracing () in
-    let row_width = range.xhi - range.xlo in
     let t_core = Unix.gettimeofday () in
-    Array.iteri
-      (fun r b ->
-        match b with
-        | None -> ()
-        | Some (_, _, int_lo, int_hi) ->
-          if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "core";
-          run_rows r ~lo:int_lo ~hi:int_hi;
-          Obs_counters.add Obs.core_elements ((int_hi - int_lo) * row_width);
-          if traced then Obs.end_span ~lane:r ())
+    List.iter
+      (fun (r, _, core) ->
+        if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "core";
+        run_box r core;
+        Obs_counters.add Obs.core_elements (range_size core);
+        if traced then Obs.end_span ~lane:r ())
       bounds;
     let core_seconds = Unix.gettimeofday () -. t_core in
-    if tokens <> [] then begin
-      let t_wait = Unix.gettimeofday () in
-      List.iter (fun (dat, tok, _) -> exchange_finish t dat tok) tokens;
-      xfer := !xfer +. (Unix.gettimeofday () -. t_wait);
-      (* Ranks run back to back in the simulator, so overlap is credited
-         analytically: exchange time covered by interior compute is hidden,
-         only the excess is exposed. *)
-      let hidden = Float.min !xfer core_seconds in
-      exposed := !exposed +. (!xfer -. hidden);
-      overlap_seconds := !overlap_seconds +. hidden
-    end;
-    Array.iteri
-      (fun r b ->
-        match b with
-        | None -> ()
-        | Some (lo, hi, int_lo, int_hi) ->
-          if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "boundary";
-          run_rows r ~lo ~hi:int_lo;
-          run_rows r ~lo:int_hi ~hi;
-          Obs_counters.add Obs.boundary_elements
-            (((int_lo - lo) + (hi - int_hi)) * row_width);
-          if traced then Obs.end_span ~lane:r ())
+    let t_wait = Unix.gettimeofday () in
+    List.iter (fun (dat, tok, _) -> exchange_finish t dat tok) tokens;
+    xfer := !xfer +. (Unix.gettimeofday () -. t_wait);
+    (* Ranks run back to back in the simulator, so overlap is credited
+       analytically: exchange time covered by interior compute is hidden,
+       only the excess is exposed. *)
+    let hidden = Float.min !xfer core_seconds in
+    exposed := !exposed +. (!xfer -. hidden);
+    overlap_seconds := !overlap_seconds +. hidden;
+    (* Boundary frame, peeled axis by axis: the two outer slabs of the
+       remaining box along the axis, then shrink the box to the interior
+       interval. *)
+    List.iter
+      (fun (r, full, core) ->
+        if traced then Obs.begin_span ~lane:r ~cat:Cat.Loop "boundary";
+        let box = ref full in
+        for a = 2 downto 0 do
+          run_box r (with_axis !box a (range_lo full a) (range_lo core a));
+          run_box r (with_axis !box a (range_hi core a) (range_hi full a));
+          box := with_axis !box a (range_lo core a) (range_hi core a)
+        done;
+        Obs_counters.add Obs.boundary_elements (range_size full - range_size core);
+        if traced then Obs.end_span ~lane:r ())
       bounds
   end;
   halo_seconds := !halo_seconds +. !exposed;
@@ -401,70 +412,42 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
         (dat_dist t dat).fresh_depth <- 0
       | Arg_gbl { access; _ } when access <> Access.Read ->
         Comm.count_reduction t.comm
-      | Arg_dat _ | Arg_gbl _ | Arg_idx -> ())
+      | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args
+
+let intersect a b =
+  box_of (fun i -> (max (range_lo a i) (range_lo b i), min (range_hi a i) (range_hi b i)))
 
 (* Assemble the interior of a dataset from its owners. *)
 let fetch_interior t dat =
-  let dd = dat_dist t dat in
-  let out = Array.make (dat.xsize * dat.ysize * dat.dim) 0.0 in
-  let k = ref 0 in
-  for y = 0 to dat.ysize - 1 do
-    let r = rank_of_row t y in
-    let w = dd.windows.(r) in
-    for x = 0 to dat.xsize - 1 do
-      for c = 0 to dat.dim - 1 do
-        out.(!k) <- w.data.(window_index dat w ~x ~y ~c);
-        incr k
-      done
-    done
-  done;
+  let box = interior dat in
+  let out = Array.make (range_size box * dat.dim) 0.0 in
+  let dst = box_view out ~dim:dat.dim box in
+  Array.iter
+    (fun w -> copy_box ~src:w.view ~dst ~dim:dat.dim (intersect w.owned box))
+    (dat_dist t dat).windows;
   out
 
-(* Pull every window's owned values (global ghost rows included — the edge
-   ranks own them) back into the global padded array: the inverse of [push].
-   Reading only from owners never sees a stale ghost copy, so the result is
-   exact whatever each dataset's current [fresh_depth]. *)
+(* Pull every window's owned values (global ghosts included — the edge
+   ranks own them) back into the global padded array: the inverse of
+   [push].  Reading only from owners never sees a stale ghost copy, so the
+   result is exact whatever the dataset's current [fresh_depth]. *)
 let pull t dat =
-  let dd = dat_dist t dat in
-  for y = y_min dat to y_max dat - 1 do
-    let w = dd.windows.(rank_of_row t y) in
-    for x = -dat.halo to dat.xsize + dat.halo - 1 do
-      for c = 0 to dat.dim - 1 do
-        set dat ~x ~y ~c w.data.(window_index dat w ~x ~y ~c)
-      done
-    done
-  done
-
-(* Push the global array's current contents into every window (ghosts too). *)
-let push t dat =
-  let dd = dat_dist t dat in
-  for r = 0 to t.n_ranks - 1 do
-    let w = dd.windows.(r) in
-    for y = max (y_min dat) (w.row_lo - dat.halo)
-        to min (y_max dat - 1) (w.row_hi + dat.halo - 1) do
-      for x = -dat.halo to dat.xsize + dat.halo - 1 do
-        for c = 0 to dat.dim - 1 do
-          w.data.(window_index dat w ~x ~y ~c) <- get dat ~x ~y ~c
-        done
-      done
-    done
-  done;
-  dd.fresh_depth <- dat.halo
+  let dst = dat_view dat in
+  Array.iter
+    (fun w -> copy_box ~src:w.view ~dst ~dim:dat.dim w.owned)
+    (dat_dist t dat).windows
 
 (* Reflective boundary mirror on every rank's window (see [Boundary]): each
-   rank mirrors the x-ghost columns of its stored rows; the global y-ghost
-   rows belong to the edge ranks' owned intervals. Ghost copies of interior
-   rows may now hold stale x-columns, so the dataset is marked for
+   window mirrors only the global ghost cells it owns, over its stored
+   box, so each edge rank's corners are self-consistent; ghost copies of
+   other ranks' cells may now be stale, so the dataset is marked for
    re-exchange. *)
-let mirror t dat ~depth ~sign_x ~sign_y ~center_x ~center_y =
+let mirror t dat ~depth ~signs ~centers =
   let dd = dat_dist t dat in
-  for r = 0 to t.n_ranks - 1 do
-    let w = dd.windows.(r) in
-    Boundary.apply_via
-      ~get:(fun x y c -> w.data.(window_index dat w ~x ~y ~c))
-      ~set:(fun x y c v -> w.data.(window_index dat w ~x ~y ~c) <- v)
-      ~dat ~depth ~sign_x ~sign_y ~center_x ~center_y ~row_lo:w.row_lo
-      ~row_hi:w.row_hi
-  done;
+  Array.iter
+    (fun w ->
+      Boundary.apply ~view:w.view ~dat ~owned:w.owned ~stored:w.stored ~depth ~signs
+        ~centers)
+    dd.windows;
   dd.fresh_depth <- 0

@@ -1,4 +1,4 @@
-(* Execution engines of the OPS backends.
+(* Execution engines of the OPS backends, for blocks of any dimension.
 
    All engines share one element runner: per argument the kernel receives a
    staging buffer gathered through the argument's stencil, and written
@@ -9,34 +9,21 @@
    directly (and why its OpenMP backend handles NUMA better than hand-coded
    code, Fig 5).
 
-   Data is addressed through affine [view]s (base + y*row + x*col), so each
-   argument compiles to one [int array] of flat offsets — one delta per
-   stencil point — and the gather is a straight indexed copy with no closure
-   call or index arithmetic beyond a single base computation per point.  The
-   distributed backend substitutes rank-local window views (which are affine
-   too) without touching the traversal logic.  Inner loops use unsafe
-   indexing; [validate_args] proves every stencil stays inside the
-   addressable padded box over the whole range before execution starts. *)
+   Data is addressed through affine [view]s (base + z*plane + y*row +
+   x*col), so each argument compiles to one [int array] of flat offsets —
+   one delta per stencil point — and the gather is a straight indexed copy
+   with no closure call or index arithmetic beyond a single base
+   computation per point.  Unused axes iterate over the single coordinate
+   0; on blocks of at most two dimensions ([planar]) the single-component
+   closures drop the z term altogether.
+   The distributed backend substitutes rank-local window views (which are
+   affine too) without touching the traversal logic.  Inner loops use
+   unsafe indexing; [Types.validate_args] proves every stencil stays inside
+   the addressable padded box over the whole range before execution
+   starts. *)
 
 module Access = Am_core.Access
 open Types
-
-(* Affine addressing window: component [c] of logical point (x, y) lives at
-   [vbase + y*vrow + x*vcol + c] in [vdata]. *)
-type view = { vdata : float array; vbase : int; vrow : int; vcol : int }
-
-let dat_view dat =
-  let pw = dat.xsize + (2 * dat.halo) in
-  {
-    vdata = dat.data;
-    vbase = ((dat.halo * pw) + dat.halo) * dat.dim;
-    vrow = pw * dat.dim;
-    vcol = dat.dim;
-  }
-
-(* Bounds-checked accessors for the cold paths (tile staging, write-back). *)
-let vget v ~x ~y ~c = v.vdata.(v.vbase + (y * v.vrow) + (x * v.vcol) + c)
-let vset v ~x ~y ~c value = v.vdata.(v.vbase + (y * v.vrow) + (x * v.vcol) + c) <- value
 
 type compiled_arg =
   | C_dat of {
@@ -45,47 +32,61 @@ type compiled_arg =
       stencil : stencil;
       access : Access.t;
       stride : stride;
-      gather : float array -> int -> int -> unit; (* staging buffer, x, y *)
-      scatter : float array -> int -> int -> unit;
+      gather : float array -> int -> int -> int -> unit; (* buf x y z *)
+      scatter : float array -> int -> int -> int -> unit;
     }
   | C_gbl of { user_buf : float array; access : Access.t }
-  | C_idx
+  | C_idx of int
 
 type resolvers = { resolve_dat : dat -> view }
 
 let global_resolvers = { resolve_dat = dat_view }
 
-let ignore3 _ _ _ = ()
+let ignore4 _ _ _ _ = ()
 
 (* Per-stencil-point flat deltas from the iteration point's base index. *)
 let build_offsets view stencil =
-  Array.map (fun (dx, dy) -> (dy * view.vrow) + (dx * view.vcol)) stencil
+  Array.map
+    (fun (dx, dy, dz) -> (dz * view.vplane) + (dy * view.vrow) + (dx * view.vcol))
+    stencil
 
-let build_gather view ~dim ~stencil ~access ~stride =
-  let { vdata; vbase; vrow; vcol } = view in
+(* [planar]: the dataset's block has at most two dimensions, so z is always
+   0.  Leaving z out of the single-component closures, which do almost all
+   of CloverLeaf's staging, was worth 3-6% of a 2D step in paired runs. *)
+let build_gather view ~planar ~dim ~stencil ~access ~stride =
+  let { vdata; vbase; vplane; vrow; vcol } = view in
   let offsets = build_offsets view stencil in
   let np = Array.length offsets in
   match access with
   | Access.Inc ->
-    if dim = 1 then fun buf _ _ -> Array.unsafe_set buf 0 0.0
-    else fun buf _ _ -> Array.fill buf 0 dim 0.0
+    if dim = 1 then fun buf _ _ _ -> Array.unsafe_set buf 0 0.0
+    else fun buf _ _ _ -> Array.fill buf 0 dim 0.0
   | Access.Read | Access.Rw | Access.Write ->
     if is_unit_stride stride then begin
       if np = 1 && dim = 1 then
-        let o = offsets.(0) in
-        fun buf x y ->
+        let o = vbase + offsets.(0) in
+        if planar then fun buf x y _ ->
+          Array.unsafe_set buf 0 (Array.unsafe_get vdata (o + (y * vrow) + (x * vcol)))
+        else fun buf x y z ->
           Array.unsafe_set buf 0
-            (Array.unsafe_get vdata (vbase + (y * vrow) + (x * vcol) + o))
-      else if dim = 1 then
-        fun buf x y ->
+            (Array.unsafe_get vdata (o + (z * vplane) + (y * vrow) + (x * vcol)))
+      else if dim = 1 && planar then
+        fun buf x y _ ->
           let base = vbase + (y * vrow) + (x * vcol) in
           for p = 0 to np - 1 do
             Array.unsafe_set buf p
               (Array.unsafe_get vdata (base + Array.unsafe_get offsets p))
           done
+      else if dim = 1 then
+        fun buf x y z ->
+          let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
+          for p = 0 to np - 1 do
+            Array.unsafe_set buf p
+              (Array.unsafe_get vdata (base + Array.unsafe_get offsets p))
+          done
       else
-        fun buf x y ->
-          let base = vbase + (y * vrow) + (x * vcol) in
+        fun buf x y z ->
+          let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
           for p = 0 to np - 1 do
             let src = base + Array.unsafe_get offsets p in
             for d = 0 to dim - 1 do
@@ -94,9 +95,9 @@ let build_gather view ~dim ~stencil ~access ~stride =
           done
     end
     else
-      fun buf x y ->
-        let bx, by = apply_stride stride ~x ~y in
-        let base = vbase + (by * vrow) + (bx * vcol) in
+      fun buf x y z ->
+        let bx, by, bz = apply_stride stride ~x ~y ~z in
+        let base = vbase + (bz * vplane) + (by * vrow) + (bx * vcol) in
         for p = 0 to np - 1 do
           let src = base + Array.unsafe_get offsets p in
           for d = 0 to dim - 1 do
@@ -106,48 +107,58 @@ let build_gather view ~dim ~stencil ~access ~stride =
   | Access.Min | Access.Max -> invalid_arg "ops: Min/Max access on a dataset"
 
 (* Scatters are center-only and unit-stride by validation. *)
-let build_scatter view ~dim ~access =
-  let { vdata; vbase; vrow; vcol } = view in
+let build_scatter view ~planar ~dim ~access =
+  let { vdata; vbase; vplane; vrow; vcol } = view in
   match access with
-  | Access.Read -> ignore3
+  | Access.Read -> ignore4
   | Access.Write | Access.Rw ->
-    if dim = 1 then
-      fun buf x y ->
+    if dim = 1 && planar then
+      fun buf x y _ ->
         Array.unsafe_set vdata (vbase + (y * vrow) + (x * vcol)) (Array.unsafe_get buf 0)
+    else if dim = 1 then
+      fun buf x y z ->
+        Array.unsafe_set vdata
+          (vbase + (z * vplane) + (y * vrow) + (x * vcol))
+          (Array.unsafe_get buf 0)
     else
-      fun buf x y ->
-        let base = vbase + (y * vrow) + (x * vcol) in
+      fun buf x y z ->
+        let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
         for d = 0 to dim - 1 do
           Array.unsafe_set vdata (base + d) (Array.unsafe_get buf d)
         done
   | Access.Inc ->
-    if dim = 1 then
-      fun buf x y ->
+    if dim = 1 && planar then
+      fun buf x y _ ->
         let j = vbase + (y * vrow) + (x * vcol) in
         Array.unsafe_set vdata j (Array.unsafe_get vdata j +. Array.unsafe_get buf 0)
+    else if dim = 1 then
+      fun buf x y z ->
+        let j = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
+        Array.unsafe_set vdata j (Array.unsafe_get vdata j +. Array.unsafe_get buf 0)
     else
-      fun buf x y ->
-        let base = vbase + (y * vrow) + (x * vcol) in
+      fun buf x y z ->
+        let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
         for d = 0 to dim - 1 do
           let j = base + d in
           Array.unsafe_set vdata j (Array.unsafe_get vdata j +. Array.unsafe_get buf d)
         done
   | Access.Min | Access.Max -> invalid_arg "ops: Min/Max access on a dataset"
 
-let compile_dat view ~dim ~stencil ~access ~stride =
+let compile_dat view ~planar ~dim ~stencil ~access ~stride =
   C_dat
     {
       view; dim; stencil; access; stride;
-      gather = build_gather view ~dim ~stencil ~access ~stride;
-      scatter = build_scatter view ~dim ~access;
+      gather = build_gather view ~planar ~dim ~stencil ~access ~stride;
+      scatter = build_scatter view ~planar ~dim ~access;
     }
 
 let compile ?(resolvers = global_resolvers) args =
   let one = function
     | Arg_dat { dat; stencil; access; stride } ->
-      compile_dat (resolvers.resolve_dat dat) ~dim:dat.dim ~stencil ~access ~stride
+      compile_dat (resolvers.resolve_dat dat) ~planar:(dat.dat_block.ndim < 3) ~dim:dat.dim
+        ~stencil ~access ~stride
     | Arg_gbl { buf; access; _ } -> C_gbl { user_buf = buf; access }
-    | Arg_idx -> C_idx
+    | Arg_idx n -> C_idx n
   in
   Array.of_list (List.map one args)
 
@@ -164,18 +175,18 @@ let compiled_matches compiled args =
            && cd.stride = stride
          | C_gbl cg, Arg_gbl { buf; access; _ } ->
            cg.user_buf == buf && cg.access = access
-         | C_idx, Arg_idx -> true
-         | (C_dat _ | C_gbl _ | C_idx), _ -> false)
+         | C_idx n, Arg_idx m -> n = m
+         | (C_dat _ | C_gbl _ | C_idx _), _ -> false)
        (Array.to_list compiled) args
 
 let has_globals compiled =
-  Array.exists (function C_gbl _ -> true | C_dat _ | C_idx -> false) compiled
+  Array.exists (function C_gbl _ -> true | C_dat _ | C_idx _ -> false) compiled
 
 let make_buffers compiled =
   Array.map
     (function
       | C_dat { dim; stencil; _ } -> Array.make (dim * Array.length stencil) 0.0
-      | C_idx -> Array.make 2 0.0
+      | C_idx n -> Array.make n 0.0
       | C_gbl { user_buf; access } -> (
         match access with
         | Access.Read | Access.Min | Access.Max -> Array.copy user_buf
@@ -184,54 +195,23 @@ let make_buffers compiled =
           invalid_arg "ops: Write/Rw access on a global argument"))
     compiled
 
+(* Fold reduction partials [src] into [dst] per the access mode
+   (Inc/Min/Max are associative and commutative). *)
+let reduce_into access dst src =
+  for d = 0 to Array.length dst - 1 do
+    match access with
+    | Access.Inc -> dst.(d) <- dst.(d) +. src.(d)
+    | Access.Min -> dst.(d) <- Float.min dst.(d) src.(d)
+    | Access.Max -> dst.(d) <- Float.max dst.(d) src.(d)
+    | Access.Read | Access.Write | Access.Rw -> ()
+  done
+
 let merge_globals compiled buffers =
   Array.iteri
     (fun i c ->
       match c with
-      | C_dat _ | C_idx -> ()
-      | C_gbl { user_buf; access } -> (
-        let acc = buffers.(i) in
-        match access with
-        | Access.Read -> ()
-        | Access.Inc ->
-          for d = 0 to Array.length user_buf - 1 do
-            user_buf.(d) <- user_buf.(d) +. acc.(d)
-          done
-        | Access.Min ->
-          for d = 0 to Array.length user_buf - 1 do
-            user_buf.(d) <- Float.min user_buf.(d) acc.(d)
-          done
-        | Access.Max ->
-          for d = 0 to Array.length user_buf - 1 do
-            user_buf.(d) <- Float.max user_buf.(d) acc.(d)
-          done
-        | Access.Write | Access.Rw -> assert false))
-    compiled
-
-(* One level of the per-worker reduction tree: fold [src]'s global partials
-   into [dst]'s (Inc/Min/Max are associative and commutative). *)
-let combine_globals compiled dst src =
-  Array.iteri
-    (fun i c ->
-      match c with
-      | C_dat _ | C_idx -> ()
-      | C_gbl { access; _ } -> (
-        let a = dst.(i) and b = src.(i) in
-        match access with
-        | Access.Read -> ()
-        | Access.Inc ->
-          for d = 0 to Array.length a - 1 do
-            a.(d) <- a.(d) +. b.(d)
-          done
-        | Access.Min ->
-          for d = 0 to Array.length a - 1 do
-            a.(d) <- Float.min a.(d) b.(d)
-          done
-        | Access.Max ->
-          for d = 0 to Array.length a - 1 do
-            a.(d) <- Float.max a.(d) b.(d)
-          done
-        | Access.Write | Access.Rw -> assert false))
+      | C_gbl { user_buf; access } -> reduce_into access user_buf buffers.(i)
+      | C_dat _ | C_idx _ -> ())
     compiled
 
 (* Pairwise tree reduction of per-worker accumulator sets into the user
@@ -247,38 +227,46 @@ let merge_worker_globals compiled states =
     while !n > 1 do
       let half = (!n + 1) / 2 in
       for i = 0 to !n - half - 1 do
-        combine_globals compiled arr.(i) arr.(half + i)
+        Array.iteri
+          (fun k c ->
+            match c with
+            | C_gbl { access; _ } -> reduce_into access arr.(i).(k) arr.(half + i).(k)
+            | C_dat _ | C_idx _ -> ())
+          compiled
       done;
       n := half
     done;
     merge_globals compiled arr.(0);
     if traced then Am_obs.Obs.end_span ()
 
-let run_point compiled buffers kernel x y =
+let run_point compiled buffers kernel x y z =
   for i = 0 to Array.length compiled - 1 do
     match Array.unsafe_get compiled i with
-    | C_dat { gather; _ } -> gather (Array.unsafe_get buffers i) x y
-    | C_idx ->
+    | C_dat { gather; _ } -> gather (Array.unsafe_get buffers i) x y z
+    | C_idx n ->
       let buf = Array.unsafe_get buffers i in
       buf.(0) <- Float.of_int x;
-      buf.(1) <- Float.of_int y
+      if n > 1 then buf.(1) <- Float.of_int y;
+      if n > 2 then buf.(2) <- Float.of_int z
     | C_gbl _ -> ()
   done;
   kernel buffers;
   for i = 0 to Array.length compiled - 1 do
     match Array.unsafe_get compiled i with
-    | C_dat { scatter; _ } -> scatter (Array.unsafe_get buffers i) x y
-    | C_gbl _ | C_idx -> ()
+    | C_dat { scatter; _ } -> scatter (Array.unsafe_get buffers i) x y z
+    | C_gbl _ | C_idx _ -> ()
   done
 
-(* Slab runner for the lazy-chain tiled executor: the caller owns the
-   compiled arguments and staging buffers — which persist across slabs so
-   global accumulations keep the eager traversal order — and merges
-   globals once after the whole chain. *)
+(* Box runner over caller-owned compiled arguments and staging buffers:
+   the lazy-chain tiled executor keeps both across slabs, so global
+   accumulations follow the eager traversal order, and merges globals once
+   after the whole chain. *)
 let run_range compiled buffers ~range ~kernel =
-  for y = range.ylo to range.yhi - 1 do
-    for x = range.xlo to range.xhi - 1 do
-      run_point compiled buffers kernel x y
+  for z = range.zlo to range.zhi - 1 do
+    for y = range.ylo to range.yhi - 1 do
+      for x = range.xlo to range.xhi - 1 do
+        run_point compiled buffers kernel x y z
+      done
     done
   done
 
@@ -289,138 +277,125 @@ let run_seq ?resolvers ?compiled ~range ~args ~kernel () =
     match compiled with Some c -> c | None -> compile ?resolvers args
   in
   let buffers = make_buffers compiled in
-  for y = range.ylo to range.yhi - 1 do
-    for x = range.xlo to range.xhi - 1 do
-      run_point compiled buffers kernel x y
-    done
-  done;
+  run_range compiled buffers ~range ~kernel;
   if has_globals compiled then merge_globals compiled buffers
 
 (* ---- Shared memory ("OpenMP") --------------------------------------- *)
 
-let run_shared ?resolvers ?compiled pool ~range ~args ~kernel =
+(* The outermost used [axis] (rows in 2D, planes in 3D) is split across the
+   pool, with pooled worker-local buffers and a reduction-tree merge. *)
+let run_shared ?resolvers ?compiled ~axis pool ~range ~args ~kernel =
   let compiled =
     match compiled with Some c -> c | None -> compile ?resolvers args
   in
   let states =
-    Am_taskpool.Pool.parallel_for_local pool ~lo:range.ylo ~hi:range.yhi
+    Am_taskpool.Pool.parallel_for_local pool ~lo:(range_lo range axis)
+      ~hi:(range_hi range axis)
       ~local:(fun () -> make_buffers compiled)
-      ~body:(fun buffers ylo yhi ->
-        for y = ylo to yhi - 1 do
-          for x = range.xlo to range.xhi - 1 do
-            run_point compiled buffers kernel x y
-          done
-        done)
+      ~body:(fun buffers lo hi ->
+        run_range compiled buffers ~range:(with_axis range axis lo hi) ~kernel)
   in
   if has_globals compiled then merge_worker_globals compiled states
 
 (* ---- GPU simulator --------------------------------------------------- *)
 
-type cuda_strategy = Cuda_global | Cuda_tiled
+(* Thread-block tile extents per axis (unused axes hold one tile), and
+   whether dataset arguments are staged through scratch tiles. *)
+type cuda_config = { tile_x : int; tile_y : int; tile_z : int; staged : bool }
 
-type cuda_config = { tile_x : int; tile_y : int; strategy : cuda_strategy }
-
-let default_cuda_config = { tile_x = 32; tile_y = 4; strategy = Cuda_tiled }
+let default_cuda_config = { tile_x = 32; tile_y = 4; tile_z = 4; staged = true }
 
 (* Staged tile execution: every dataset argument is copied (with the
-   stencil-extent ring) into a scratch tile, the kernel works on the
-   scratch, and written center regions are copied back — the structure of
-   OPS's shared-memory CUDA kernels. *)
+   stencil's per-axis reach as a ring) into a scratch tile, the kernel works
+   on the scratch, and written center regions are copied back — the
+   structure of OPS's shared-memory CUDA kernels. *)
+let run_tile compiled buffers kernel args tile =
+  let args_arr = Array.of_list args in
+  let staged =
+    Array.mapi
+      (fun i c ->
+        match c with
+        | C_dat { stride; _ } when not (is_unit_stride stride) ->
+          (* Grid-transfer reads bypass the scratch tile (their footprint is
+             not tile-shaped); they read global memory directly, as OPS's
+             generated multigrid kernels do. *)
+          c
+        | C_dat { view; dim; stencil; access; stride; _ } ->
+          let dat =
+            match args_arr.(i) with
+            | Arg_dat { dat; _ } -> dat
+            | Arg_gbl _ | Arg_idx _ -> assert false
+          in
+          let reach a =
+            Array.fold_left (fun m o -> max m (abs (offset_axis o a))) 0 stencil
+          in
+          let s =
+            Array.init 3 (fun a -> (range_lo tile a - reach a, range_hi tile a + reach a))
+          in
+          let w = snd s.(0) - fst s.(0) and h = snd s.(1) - fst s.(1) in
+          let scratch = Array.make (w * h * (snd s.(2) - fst s.(2)) * dim) 0.0 in
+          let sview =
+            { vdata = scratch;
+              vbase = (((((-fst s.(2)) * h) - fst s.(1)) * w) - fst s.(0)) * dim;
+              vplane = h * w * dim; vrow = w * dim; vcol = dim }
+          in
+          if Access.reads access || access = Access.Write then begin
+            (* Clamped to the addressable box: ring cells the stencil never
+               reaches may fall outside the ghost ring when the range itself
+               extends into it (validation guarantees actual reads stay
+               inside). *)
+            let clamp a =
+              (max (fst s.(a)) (lo_bound dat a), min (snd s.(a)) (hi_bound dat a))
+            in
+            let (x0, x1), (y0, y1), (z0, z1) = (clamp 0, clamp 1, clamp 2) in
+            iter_box { xlo = x0; xhi = x1; ylo = y0; yhi = y1; zlo = z0; zhi = z1 }
+              (fun x y z ->
+                for c = 0 to dim - 1 do
+                  vset sview ~x ~y ~z ~c (vget view ~x ~y ~z ~c)
+                done)
+          end;
+          compile_dat sview ~planar:(dat.dat_block.ndim < 3) ~dim ~stencil ~access ~stride
+        | (C_gbl _ | C_idx _) as c -> c)
+      compiled
+  in
+  run_range staged buffers ~range:tile ~kernel;
+  (* Write back center regions of written datasets; increment-only scratch
+     tiles start from zero, so they are added. *)
+  Array.iteri
+    (fun i c ->
+      match (c, staged.(i)) with
+      | C_dat { view; dim; access; _ }, C_dat { view = sview; _ }
+        when Access.writes access ->
+        iter_box tile (fun x y z ->
+            for d = 0 to dim - 1 do
+              let v = vget sview ~x ~y ~z ~c:d in
+              if access = Access.Inc then
+                vset view ~x ~y ~z ~c:d (vget view ~x ~y ~z ~c:d +. v)
+              else vset view ~x ~y ~z ~c:d v
+            done)
+      | _ -> ())
+    compiled
+
 let run_cuda ?compiled config ~range ~args ~kernel =
   let compiled =
     match compiled with Some c -> c | None -> compile args
   in
   let buffers = make_buffers compiled in
-  let xtiles = (range.xhi - range.xlo + config.tile_x - 1) / config.tile_x in
-  let ytiles = (range.yhi - range.ylo + config.tile_y - 1) / config.tile_y in
-  for ty = 0 to ytiles - 1 do
-    for tx = 0 to xtiles - 1 do
-      let txlo = range.xlo + (tx * config.tile_x) in
-      let txhi = min range.xhi (txlo + config.tile_x) in
-      let tylo = range.ylo + (ty * config.tile_y) in
-      let tyhi = min range.yhi (tylo + config.tile_y) in
-      let tile = { xlo = txlo; xhi = txhi; ylo = tylo; yhi = tyhi } in
-      match config.strategy with
-      | Cuda_global ->
-        for y = tile.ylo to tile.yhi - 1 do
-          for x = tile.xlo to tile.xhi - 1 do
-            run_point compiled buffers kernel x y
-          done
-        done
-      | Cuda_tiled ->
-        (* Build a staged view per dataset argument.  The gather covers the
-           tile plus the stencil-extent ring, clamped to the dataset's
-           addressable box: ring corners the stencil never reaches may fall
-           outside the ghost ring when the range itself extends into it
-           (validation guarantees actual reads stay inside). *)
-        let args_arr = Array.of_list args in
-        let staged =
-          Array.mapi
-            (fun i c ->
-              match c with
-              | C_dat { stride; _ } when not (is_unit_stride stride) ->
-                (* Grid-transfer reads bypass the scratch tile (their
-                   footprint is not tile-shaped); they read global memory
-                   directly, as OPS's generated multigrid kernels do. *)
-                c
-              | C_dat { view; dim; stencil; access; stride; _ } ->
-                let dat =
-                  match args_arr.(i) with
-                  | Arg_dat { dat; _ } -> dat
-                  | Arg_gbl _ | Arg_idx -> assert false
-                in
-                let ext = stencil_extent stencil in
-                let sxlo = tile.xlo - ext and sxhi = tile.xhi + ext in
-                let sylo = tile.ylo - ext and syhi = tile.yhi + ext in
-                let w = sxhi - sxlo in
-                let scratch = Array.make (w * (syhi - sylo) * dim) 0.0 in
-                let sview =
-                  {
-                    vdata = scratch;
-                    vbase = (((-sylo) * w) - sxlo) * dim;
-                    vrow = w * dim;
-                    vcol = dim;
-                  }
-                in
-                if Access.reads access || access = Access.Write then begin
-                  let gxlo = max sxlo (x_min dat) and gxhi = min sxhi (x_max dat) in
-                  let gylo = max sylo (y_min dat) and gyhi = min syhi (y_max dat) in
-                  for y = gylo to gyhi - 1 do
-                    for x = gxlo to gxhi - 1 do
-                      for c = 0 to dim - 1 do
-                        vset sview ~x ~y ~c (vget view ~x ~y ~c)
-                      done
-                    done
-                  done
-                end;
-                compile_dat sview ~dim ~stencil ~access ~stride
-              | (C_gbl _ | C_idx) as c -> c)
-            compiled
+  let tiles lo hi t = (hi - lo + t - 1) / t in
+  for tz = 0 to tiles range.zlo range.zhi config.tile_z - 1 do
+    for ty = 0 to tiles range.ylo range.yhi config.tile_y - 1 do
+      for tx = 0 to tiles range.xlo range.xhi config.tile_x - 1 do
+        let xlo = range.xlo + (tx * config.tile_x) in
+        let ylo = range.ylo + (ty * config.tile_y) in
+        let zlo = range.zlo + (tz * config.tile_z) in
+        let tile =
+          { xlo; xhi = min range.xhi (xlo + config.tile_x); ylo;
+            yhi = min range.yhi (ylo + config.tile_y); zlo;
+            zhi = min range.zhi (zlo + config.tile_z) }
         in
-        for y = tile.ylo to tile.yhi - 1 do
-          for x = tile.xlo to tile.xhi - 1 do
-            run_point staged buffers kernel x y
-          done
-        done;
-        (* Write back center regions of written datasets; increment-only
-           scratch tiles start from zero, so they are added. *)
-        Array.iteri
-          (fun i c ->
-            match (c, staged.(i)) with
-            | C_dat { view; dim; access; _ }, C_dat { view = sview; _ }
-              when Access.writes access ->
-              for y = tile.ylo to tile.yhi - 1 do
-                for x = tile.xlo to tile.xhi - 1 do
-                  for d = 0 to dim - 1 do
-                    let v = vget sview ~x ~y ~c:d in
-                    if access = Access.Inc then
-                      vset view ~x ~y ~c:d (vget view ~x ~y ~c:d +. v)
-                    else vset view ~x ~y ~c:d v
-                  done
-                done
-              done
-            | _ -> ())
-          compiled
+        if config.staged then run_tile compiled buffers kernel args tile
+        else run_range compiled buffers ~range:tile ~kernel
+      done
     done
   done;
   if has_globals compiled then merge_globals compiled buffers

@@ -1,4 +1,5 @@
-(* 2D sanitizer executor: sequential traversal with access-descriptor guards.
+(* Sanitizer executor: sequential traversal with access-descriptor guards,
+   for blocks of any dimension.
 
    Structured-mesh kernels receive one staging buffer per argument with
    [dim] values per declared stencil point.  Under this executor every
@@ -11,7 +12,7 @@
    previous value, and indexing a stencil point that was never declared
    (the read lands in the canary tail and the NaN propagates into whatever
    the kernel writes).  Violations raise {!Violation} naming the loop,
-   argument, dataset and (x, y) iteration point.
+   argument, dataset and iteration point.
 
    Clean runs produce results identical to [Exec.run_seq]. *)
 
@@ -43,15 +44,16 @@ type guarded =
       buf : float array; (* persists across points, like the seq backend *)
       snapshot : float array;
     }
-  | G_idx of { buf : float array }
+  | G_idx of { n : int; buf : float array } (* n coordinates, 2 canary slots *)
 
 let violation fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 
-let fail ~name ~arg_i ~what ~x ~y fmt =
+(* [pt ()] renders the iteration point. *)
+let fail ~name ~arg_i ~what ~pt fmt =
   Printf.ksprintf
     (fun s ->
       Counters.incr Obs.check_violations;
-      violation "check: loop %s, arg %d (%s), point (%d,%d): %s" name arg_i what x y s)
+      violation "check: loop %s, arg %d (%s), point %s: %s" name arg_i what (pt ()) s)
     fmt
 
 let pad_of dim = max 2 dim
@@ -79,23 +81,23 @@ let guard_args args =
         | Access.Write | Access.Rw ->
           invalid_arg "ops: Write/Rw access on a global argument");
         G_gbl { gname = name; user_buf = buf; access; buf = b; snapshot = Array.copy buf }
-      | Arg_idx -> G_idx { buf = Array.make 4 canary })
+      | Arg_idx n -> G_idx { n; buf = Array.make (n + 2) canary })
     args
 
-let gather ~name ~arg_i g ~x ~y =
+let coords ~x ~y ~z = [| Float.of_int x; Float.of_int y; Float.of_int z |]
+
+let gather ~name ~arg_i ~pt g ~x ~y ~z =
   match g with
   | G_gbl _ -> ()
-  | G_idx { buf } ->
-    buf.(0) <- Float.of_int x;
-    buf.(1) <- Float.of_int y
+  | G_idx { n; buf } -> Array.blit (coords ~x ~y ~z) 0 buf 0 n
   | G_dat { dat; stencil; access; stride; buf; snapshot } -> (
     match access with
     | Access.Read | Access.Rw ->
-      let bx, by = apply_stride stride ~x ~y in
+      let bx, by, bz = apply_stride stride ~x ~y ~z in
       Array.iteri
-        (fun p (dx, dy) ->
+        (fun p (dx, dy, dz) ->
           for c = 0 to dat.dim - 1 do
-            let v = get dat ~x:(bx + dx) ~y:(by + dy) ~c in
+            let v = get dat ~x:(bx + dx) ~y:(by + dy) ~z:(bz + dz) ~c in
             buf.((p * dat.dim) + c) <- v;
             snapshot.((p * dat.dim) + c) <- v
           done)
@@ -103,7 +105,7 @@ let gather ~name ~arg_i g ~x ~y =
     | Access.Write -> Array.fill buf 0 (dat.dim * Array.length stencil) canary
     | Access.Inc -> Array.fill buf 0 (dat.dim * Array.length stencil) 0.0
     | Access.Min | Access.Max ->
-      fail ~name ~arg_i ~what:dat.dat_name ~x ~y "Min/Max access on a dataset")
+      fail ~name ~arg_i ~what:dat.dat_name ~pt "Min/Max access on a dataset")
 
 (* [light] is the inference-backed fast path: when the static probe proved
    the loop's footprint exact, the bitwise snapshot compares of Read
@@ -115,24 +117,23 @@ let gather ~name ~arg_i g ~x ~y =
    Read write-back guard inherits the probe's sampling blind spot.  Loops
    whose footprint was caught lying never run light, so every violation
    the full guards would raise still is. *)
-let check_and_scatter ~light ~name ~arg_i g ~x ~y =
+let check_and_scatter ~light ~name ~arg_i ~pt g ~x ~y ~z =
   match g with
-  | G_idx { buf } ->
-    for d = 2 to 3 do
+  | G_idx { n; buf } ->
+    for d = n to n + 1 do
       if not (is_canary buf.(d)) then
-        fail ~name ~arg_i ~what:"idx" ~x ~y
-          "kernel wrote past the 2 iteration-index slots"
+        fail ~name ~arg_i ~what:"idx" ~pt "kernel wrote past the %d iteration-index slots" n
     done;
-    if
-      (not (same_bits buf.(0) (Float.of_int x)))
-      || not (same_bits buf.(1) (Float.of_int y))
-    then
-      fail ~name ~arg_i ~what:"idx" ~x ~y "kernel wrote the (read-only) index buffer"
+    let xs = coords ~x ~y ~z in
+    for d = 0 to n - 1 do
+      if not (same_bits buf.(d) xs.(d)) then
+        fail ~name ~arg_i ~what:"idx" ~pt "kernel wrote the (read-only) index buffer"
+    done
   | G_gbl { gname; user_buf; access; buf; snapshot } -> (
     let dim = Array.length user_buf in
     for d = dim to Array.length buf - 1 do
       if not (is_canary buf.(d)) then
-        fail ~name ~arg_i ~what:gname ~x ~y
+        fail ~name ~arg_i ~what:gname ~pt
           "kernel wrote past the %d declared component(s) of the global" dim
     done;
     match access with
@@ -140,7 +141,7 @@ let check_and_scatter ~light ~name ~arg_i g ~x ~y =
       if not light then
         for d = 0 to dim - 1 do
           if not (same_bits buf.(d) snapshot.(d)) then
-            fail ~name ~arg_i ~what:gname ~x ~y
+            fail ~name ~arg_i ~what:gname ~pt
               "kernel wrote component %d of a Read global (%.17g -> %.17g)" d
               snapshot.(d) buf.(d)
         done
@@ -150,7 +151,7 @@ let check_and_scatter ~light ~name ~arg_i g ~x ~y =
     let n = dat.dim * Array.length stencil in
     for d = n to Array.length buf - 1 do
       if not (is_canary buf.(d)) then
-        fail ~name ~arg_i ~what:dat.dat_name ~x ~y
+        fail ~name ~arg_i ~what:dat.dat_name ~pt
           "kernel wrote past the %d declared stencil value(s): undeclared \
            stencil point or out-of-range component index"
           n
@@ -160,7 +161,7 @@ let check_and_scatter ~light ~name ~arg_i g ~x ~y =
       if not light then
         for d = 0 to n - 1 do
           if not (same_bits buf.(d) snapshot.(d)) then
-            fail ~name ~arg_i ~what:dat.dat_name ~x ~y
+            fail ~name ~arg_i ~what:dat.dat_name ~pt
               "kernel wrote slot %d of a Read argument (%.17g -> %.17g)" d
               snapshot.(d) buf.(d)
         done
@@ -168,53 +169,37 @@ let check_and_scatter ~light ~name ~arg_i g ~x ~y =
       (* Center-only by validation: scatter slot p = 0. *)
       for c = 0 to dat.dim - 1 do
         if Float.is_nan buf.(c) then
-          fail ~name ~arg_i ~what:dat.dat_name ~x ~y
+          fail ~name ~arg_i ~what:dat.dat_name ~pt
             "component %d of a Write argument is NaN after the kernel: the \
              kernel read the (poisoned) previous value or never wrote the slot"
             c;
-        set dat ~x ~y ~c buf.(c)
+        set dat ~x ~y ~z ~c buf.(c)
       done
     | Access.Rw ->
       for c = 0 to dat.dim - 1 do
         if Float.is_nan buf.(c) && not (Float.is_nan snapshot.(c)) then
-          fail ~name ~arg_i ~what:dat.dat_name ~x ~y
+          fail ~name ~arg_i ~what:dat.dat_name ~pt
             "component %d of an Rw argument became NaN inside the kernel \
              (derived from another argument's poisoned Write buffer)"
             c;
-        set dat ~x ~y ~c buf.(c)
+        set dat ~x ~y ~z ~c buf.(c)
       done
     | Access.Inc ->
       for c = 0 to dat.dim - 1 do
         if Float.is_nan buf.(c) then
-          fail ~name ~arg_i ~what:dat.dat_name ~x ~y
+          fail ~name ~arg_i ~what:dat.dat_name ~pt
             "increment component %d is NaN (derived from another argument's \
              poisoned Write buffer)"
             c;
-        set dat ~x ~y ~c (get dat ~x ~y ~c +. buf.(c))
+        set dat ~x ~y ~z ~c (get dat ~x ~y ~z ~c +. buf.(c))
       done
     | Access.Min | Access.Max -> assert false)
 
-let merge_gbl g =
-  match g with
+let merge_gbl = function
+  | G_gbl { user_buf; access; buf; _ } -> Exec.reduce_into access user_buf buf
   | G_dat _ | G_idx _ -> ()
-  | G_gbl { user_buf; access; buf; _ } -> (
-    match access with
-    | Access.Read -> ()
-    | Access.Inc ->
-      for d = 0 to Array.length user_buf - 1 do
-        user_buf.(d) <- user_buf.(d) +. buf.(d)
-      done
-    | Access.Min ->
-      for d = 0 to Array.length user_buf - 1 do
-        user_buf.(d) <- Float.min user_buf.(d) buf.(d)
-      done
-    | Access.Max ->
-      for d = 0 to Array.length user_buf - 1 do
-        user_buf.(d) <- Float.max user_buf.(d) buf.(d)
-      done
-    | Access.Write | Access.Rw -> assert false)
 
-let run ?(light = false) ~name ~range ~args ~kernel () =
+let run ?(light = false) ~ndim ~name ~range ~args ~kernel () =
   Counters.incr Obs.check_loops;
   Counters.add Obs.check_elements (range_size range);
   if light then begin
@@ -224,20 +209,20 @@ let run ?(light = false) ~name ~range ~args ~kernel () =
   let guarded = Array.of_list (guard_args args) in
   let buffers =
     Array.map
-      (function G_dat { buf; _ } -> buf | G_gbl { buf; _ } -> buf | G_idx { buf } -> buf)
+      (function G_dat { buf; _ } -> buf | G_gbl { buf; _ } -> buf | G_idx { buf; _ } -> buf)
       guarded
   in
-  for y = range.ylo to range.yhi - 1 do
-    for x = range.xlo to range.xhi - 1 do
-      Array.iteri (fun i g -> gather ~name ~arg_i:i g ~x ~y) guarded;
+  iter_box range (fun x y z ->
+      let pt () = point_to_string ~ndim ~x ~y ~z in
+      Array.iteri (fun i g -> gather ~name ~arg_i:i ~pt g ~x ~y ~z) guarded;
       (try kernel buffers
        with Invalid_argument msg ->
          Counters.incr Obs.check_violations;
          violation
-           "check: loop %s, point (%d,%d): kernel raised Invalid_argument (%s) \
+           "check: loop %s, point %s: kernel raised Invalid_argument (%s) \
             — out-of-range staging-buffer index"
-           name x y msg);
-      Array.iteri (fun i g -> check_and_scatter ~light ~name ~arg_i:i g ~x ~y) guarded
-    done
-  done;
+           name (pt ()) msg);
+      Array.iteri
+        (fun i g -> check_and_scatter ~light ~name ~arg_i:i ~pt g ~x ~y ~z)
+        guarded);
   Array.iter merge_gbl guarded

@@ -1,52 +1,65 @@
 (* Inter-block halos.
 
    OPS applications declare how datasets on *different* blocks abut: a halo
-   couples a rectangular face of one dataset to a face of another, with an
-   orientation describing how indices map across the interface.  Transfers
-   are triggered explicitly by the application (the paper: "inter-block halo
+   couples a box face of one dataset to a face of another, with an
+   orientation matrix (axis permutation and flips, entries -1/0/1)
+   describing how indices map across the interface.  Transfers are
+   triggered explicitly by the application (the paper: "inter-block halo
    exchanges are triggered explicitly by the user and serve as
-   synchronization points"). *)
+   synchronization points").  Blocks of fewer than three dimensions keep
+   the identity on their unused axes. *)
 
 open Types
 
-(* Index transform across the interface: the destination point is
-   [dst_origin + M * (p - src_origin)] where [M] encodes axis permutation
-   and flips. *)
+(* Destination point = dst_origin + M * (p - src_origin), with the
+   transformed box shifted so its minimum corner lands on dst_origin.
+   [xy] is the contribution of source dy to destination dx, and so on. *)
 type orientation = {
-  xx : int; (* contribution of source dx to destination dx: -1, 0 or 1 *)
-  xy : int;
-  yx : int;
-  yy : int;
+  xx : int; xy : int; xz : int;
+  yx : int; yy : int; yz : int;
+  zx : int; zy : int; zz : int;
 }
 
-let identity_orientation = { xx = 1; xy = 0; yx = 0; yy = 1 }
+let identity_orientation =
+  { xx = 1; xy = 0; xz = 0; yx = 0; yy = 1; yz = 0; zx = 0; zy = 0; zz = 1 }
 
 type halo = {
   halo_name : string;
   src : dat;
   dst : dat;
-  src_range : range; (* face on the source, ghost rows allowed *)
-  dst_range : range; (* matching face on the destination *)
+  src_range : range; (* face/box on the source, ghost cells allowed *)
+  dst_range : range;
   orientation : orientation;
 }
 
-let transformed_extent o r =
-  let w = r.xhi - r.xlo and h = r.yhi - r.ylo in
-  (abs ((o.xx * w) + (o.xy * h)), abs ((o.yx * w) + (o.yy * h)))
+let transform o (i, j, k) =
+  ( (o.xx * i) + (o.xy * j) + (o.xz * k),
+    (o.yx * i) + (o.yy * j) + (o.yz * k),
+    (o.zx * i) + (o.zy * j) + (o.zz * k) )
+
+let extent r = (r.xhi - r.xlo, r.yhi - r.ylo, r.zhi - r.zlo)
 
 let decl_halo ~name ~src ~dst ~src_range ~dst_range ?(orientation = identity_orientation)
     () =
+  let ndim = src.dat_block.ndim in
   if src.dim <> dst.dim then invalid_arg "decl_halo: component counts differ";
-  let tw, th = transformed_extent orientation src_range in
-  let dw = dst_range.xhi - dst_range.xlo and dh = dst_range.yhi - dst_range.ylo in
-  if tw <> dw || th <> dh then
+  let tw, th, td = transform orientation (extent src_range) in
+  let dw, dh, dd = extent dst_range in
+  let dims l =
+    String.concat "x" (List.filteri (fun i _ -> i < ndim) (List.map string_of_int l))
+  in
+  if abs tw <> dw || abs th <> dh || abs td <> dd then
     invalid_arg
-      (Printf.sprintf "decl_halo %s: transformed source face %dx%d does not match \
-                       destination face %dx%d" name tw th dw dh);
+      (Printf.sprintf
+         "decl_halo %s: transformed source box %s does not match destination box %s" name
+         (dims [ abs tw; abs th; abs td ]) (dims [ dw; dh; dd ]));
   let check_bounds d r =
-    if r.xlo < x_min d || r.xhi > x_max d || r.ylo < y_min d || r.yhi > y_max d then
-      invalid_arg (Printf.sprintf "decl_halo %s: range %s outside dat %s" name
-                     (range_to_string r) d.dat_name)
+    for a = 0 to 2 do
+      if range_lo r a < lo_bound d a || range_hi r a > hi_bound d a then
+        invalid_arg
+          (Printf.sprintf "decl_halo %s: range %s outside dat %s" name
+             (range_to_string ~ndim r) d.dat_name)
+    done
   in
   check_bounds src src_range;
   check_bounds dst dst_range;
@@ -54,22 +67,28 @@ let decl_halo ~name ~src ~dst ~src_range ~dst_range ?(orientation = identity_ori
 
 (* Execute the copy: destination face values become source face values. *)
 let transfer h =
-  let o = h.orientation in
-  let sw = h.src_range.xhi - h.src_range.xlo in
-  let sh = h.src_range.yhi - h.src_range.ylo in
-  (* Map local source offsets (i, j) to local destination offsets; negative
-     transformed coordinates are shifted into [0, extent). *)
-  let tx i j = (o.xx * i) + (o.xy * j) in
-  let ty i j = (o.yx * i) + (o.yy * j) in
-  let min_tx = min 0 (min (tx (sw - 1) 0) (min (tx 0 (sh - 1)) (tx (sw - 1) (sh - 1)))) in
-  let min_ty = min 0 (min (ty (sw - 1) 0) (min (ty 0 (sh - 1)) (ty (sw - 1) (sh - 1)))) in
-  for j = 0 to sh - 1 do
-    for i = 0 to sw - 1 do
-      let dx = h.dst_range.xlo + (tx i j - min_tx) in
-      let dy = h.dst_range.ylo + (ty i j - min_ty) in
-      for c = 0 to h.src.dim - 1 do
-        set h.dst ~x:dx ~y:dy ~c
-          (get h.src ~x:(h.src_range.xlo + i) ~y:(h.src_range.ylo + j) ~c)
+  let sw, sh, sd = extent h.src_range in
+  (* Minimum transformed coordinate over the box corners (the transform is
+     linear, so extrema sit on corners); negative transformed coordinates
+     are shifted into [0, extent). *)
+  let corners =
+    List.map (transform h.orientation)
+      [ (0, 0, 0); (sw - 1, 0, 0); (0, sh - 1, 0); (0, 0, sd - 1); (sw - 1, sh - 1, 0);
+        (sw - 1, 0, sd - 1); (0, sh - 1, sd - 1); (sw - 1, sh - 1, sd - 1) ]
+  in
+  let lowest f = List.fold_left (fun m c -> min m (f c)) 0 corners in
+  let mx = lowest (fun (x, _, _) -> x) and my = lowest (fun (_, y, _) -> y) in
+  let mz = lowest (fun (_, _, z) -> z) in
+  for k = 0 to sd - 1 do
+    for j = 0 to sh - 1 do
+      for i = 0 to sw - 1 do
+        let tx, ty, tz = transform h.orientation (i, j, k) in
+        for c = 0 to h.src.dim - 1 do
+          set h.dst ~x:(h.dst_range.xlo + tx - mx) ~y:(h.dst_range.ylo + ty - my)
+            ~z:(h.dst_range.zlo + tz - mz) ~c
+            (get h.src ~x:(h.src_range.xlo + i) ~y:(h.src_range.ylo + j)
+               ~z:(h.src_range.zlo + k) ~c)
+        done
       done
     done
   done

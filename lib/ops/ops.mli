@@ -31,10 +31,10 @@ type dat = Types.dat
 type arg = Types.arg
 
 (** Half-open iteration rectangle; negative indices reach the ghost ring. *)
-type range = Types.range = { xlo : int; xhi : int; ylo : int; yhi : int }
+type range = { xlo : int; xhi : int; ylo : int; yhi : int }
 
 (** Relative (dx, dy) offsets; index 0 of the kernel buffer is offset 0. *)
-type stencil = Types.stencil
+type stencil = (int * int) array
 
 val stencil_point : stencil
 

@@ -109,10 +109,10 @@ let test_clover_shared () =
 
 let test_clover_cuda () =
   List.iter
-    (fun strategy ->
+    (fun staged ->
       check_clover "cuda_sim"
-        (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy }))
-    [ Am_ops.Exec.Cuda_global; Am_ops.Exec.Cuda_tiled ]
+        (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; tile_z = 1; staged }))
+    [ false; true ]
 
 (* ---- Plan-handle executor cache ------------------------------------------ *)
 
@@ -155,14 +155,22 @@ let test_handle_distinct_on_signature_change () =
   let e3, x3 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args_rd in
   Alcotest.(check bool) "access: distinct entry" true (not (e1 == e3));
   Alcotest.(check bool) "access: distinct executor" true (not (x1 == x3));
-  (* Replacing the dataset array recompiles the executor in place. *)
+  (* [update] writes into the dataset's own array, so the executor stays
+     valid; replacing the array (a layout round trip) recompiles it in
+     place. *)
   let e4, x4 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args in
   Alcotest.(check bool) "back to original signature: entry" true (e1 == e4);
   Op2.update ctx d (Array.make 8 2.0);
+  let e4', x4' = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args in
+  Alcotest.(check bool) "after update: same entry" true (e4 == e4');
+  Alcotest.(check bool) "after update: executor still valid" true (x4 == x4');
+  Op2.convert_layout ctx d Op2.Soa;
+  Op2.convert_layout ctx d Op2.Aos;
   let args' = [ Op2.arg_dat_indirect d e2c 0 Access.Inc ] in
   let e5, x5 = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args' in
-  Alcotest.(check bool) "after update: same entry" true (e4 == e5);
-  Alcotest.(check bool) "after update: recompiled executor" true (not (x4 == x5));
+  Alcotest.(check bool) "after array replacement: same entry" true (e4 == e5);
+  Alcotest.(check bool) "after array replacement: recompiled executor" true
+    (not (x4 == x5));
   (* Invalidation (renumbering) drops everything. *)
   Plan.invalidate cache;
   let e6, _ = Plan.resolve cache h ~name:"k" ~iter_set:edges ~block_size:4 args' in

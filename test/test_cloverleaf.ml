@@ -156,7 +156,7 @@ let test_cuda_tiled_backend () =
     App.create
       ~backend:
         (Ops.Cuda_sim
-           { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy = Am_ops.Exec.Cuda_tiled })
+           { Am_ops.Exec.tile_x = 8; tile_y = 4; tile_z = 1; staged = true })
       ~nx ~ny ()
   in
   ignore (App.run t ~steps:8);

@@ -250,6 +250,21 @@ let test_convert_layout_roundtrip () =
   Op2.convert_layout m.ctx m.u Op2.Aos;
   Alcotest.(check bool) "roundtrip" true (Fa.approx_equal ~tol:0.0 orig (Op2.fetch m.ctx m.u))
 
+(* [update] copies: later writes to the caller's array must not reach the
+   dataset, whatever its layout. *)
+let test_update_copies () =
+  List.iter
+    (fun layout ->
+      let m = build_mini () in
+      Op2.convert_layout m.ctx m.u layout;
+      let fresh = Array.map (fun v -> v +. 1.0) (Op2.fetch m.ctx m.u) in
+      Op2.update m.ctx m.u fresh;
+      let expected = Array.copy fresh in
+      Array.fill fresh 0 (Array.length fresh) 0.0;
+      Alcotest.(check bool) "caller's array not aliased" true
+        (Fa.approx_equal ~tol:0.0 expected (Op2.fetch m.ctx m.u)))
+    [ Op2.Aos; Op2.Soa ]
+
 let test_soa_execution_matches () =
   let m = build_mini () in
   Op2.convert_layout m.ctx m.u Op2.Soa;
@@ -553,6 +568,7 @@ let () =
           Alcotest.test_case "hilbert renumbering" `Quick test_renumber_with_hilbert;
           Alcotest.test_case "layout roundtrip" `Quick test_convert_layout_roundtrip;
           Alcotest.test_case "SoA execution matches" `Quick test_soa_execution_matches;
+          Alcotest.test_case "update copies the caller's array" `Quick test_update_copies;
         ] );
       ( "globals",
         [

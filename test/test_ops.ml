@@ -80,13 +80,13 @@ let test_shared_matches () =
 let test_cuda_global_matches () =
   let m = build_mini () in
   Ops.set_backend m.ctx
-    (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy = Am_ops.Exec.Cuda_global });
+    (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; tile_z = 1; staged = false });
   check_matches "cuda global" (run_mini m 6)
 
 let test_cuda_tiled_matches () =
   let m = build_mini () in
   Ops.set_backend m.ctx
-    (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; strategy = Am_ops.Exec.Cuda_tiled });
+    (Ops.Cuda_sim { Am_ops.Exec.tile_x = 8; tile_y = 4; tile_z = 1; staged = true });
   check_matches "cuda tiled" (run_mini m 6)
 
 let dist_test n_ranks () =
@@ -355,7 +355,7 @@ let test_strided_cuda_matches_seq () =
   in
   let seq = run None in
   let cuda =
-    run (Some (Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 4; strategy = Am_ops.Exec.Cuda_tiled }))
+    run (Some (Ops.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 4; tile_z = 1; staged = true }))
   in
   Alcotest.(check bool) "cuda tiled matches with strided args" true
     (Fa.approx_equal ~tol:0.0 seq cuda)
@@ -482,12 +482,12 @@ let prop_random_stencil_backend_equivalence =
               Ops.set_backend ctx
                 (Ops.Cuda_sim
                    { Am_ops.Exec.tile_x = 4; tile_y = 4;
-                     strategy = Am_ops.Exec.Cuda_tiled })
+                     tile_z = 1; staged = true })
             | 2 ->
               Ops.set_backend ctx
                 (Ops.Cuda_sim
                    { Am_ops.Exec.tile_x = 8; tile_y = 2;
-                     strategy = Am_ops.Exec.Cuda_global })
+                     tile_z = 1; staged = false })
             | _ -> Ops.partition_grid ctx ~px:2 ~py:2 ~ref_xsize:nx ~ref_ysize:ny)
       in
       Fa.approx_equal ~tol:0.0 reference result)

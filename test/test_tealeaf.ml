@@ -58,7 +58,7 @@ let test_cuda_backend () =
   let t =
     Tea.create
       ~backend:
-        (Ops3.Cuda_sim { Am_ops.Exec3.tile_x = 4; tile_y = 4; tile_z = 2; staged = true })
+        (Ops3.Cuda_sim { Am_ops.Exec.tile_x = 4; tile_y = 4; tile_z = 2; staged = true })
       ~n ()
   in
   Tea.run t ~steps:3;
