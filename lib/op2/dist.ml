@@ -70,7 +70,7 @@ type t = {
      the same loop-signature key as the plan cache.  Both depend only on
      the rank-local map tables, which are fixed at [build] time. *)
   rank_splits : (string, rank_split array) Hashtbl.t;
-  rank_execs : (string * int, Exec_common.compiled_arg array) Hashtbl.t;
+  rank_execs : (string * int, Exec_common.t) Hashtbl.t;
 }
 
 type strategy =
@@ -474,7 +474,7 @@ let rank_resolvers t r =
 (* Rank-local executor for the phased path, compiled once per (signature,
    rank).  [compiled_matches] cannot validate these — it compares against
    the global arrays — but the rank-local arrays are allocated once at
-   [build] and only ever blitted in place, so the closures stay valid. *)
+   [build] and only ever blitted in place, so the tables stay valid. *)
 let rank_compiled t ~key r args =
   match Hashtbl.find_opt t.rank_execs (key, r) with
   | Some c ->
@@ -602,10 +602,7 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
     List.iter (timed (zero_halo t)) inc_dats;
     let execs = Array.init t.n_ranks (fun r -> rank_compiled t ~key r args) in
     let buffers = Array.map Exec_common.make_buffers execs in
-    let run_subset r elems =
-      let compiled = execs.(r) and bufs = buffers.(r) in
-      Array.iter (fun e -> Exec_common.run_element compiled bufs kernel e) elems
-    in
+    let run_subset r elems = Exec_common.run_elems execs.(r) buffers.(r) kernel elems in
     (* Core phase: every element whose reads stay on owned slots. *)
     let traced = Obs.tracing () in
     let t_core = Unix.gettimeofday () in

@@ -83,8 +83,7 @@ type stage = {
 
 (* Group the indirect dat arguments of a loop by dataset: one scratchpad per
    dataset per block, shared by all maps reaching it. *)
-let build_stages compiled args ~lo ~hi =
-  ignore compiled;
+let build_stages args ~lo ~hi =
   let by_dat = Hashtbl.create 4 in
   List.iter
     (function
@@ -172,48 +171,29 @@ let write_back_stages stages =
       end)
     stages
 
-(* Per-element staged runner: direct args hit global memory, indirect args
-   hit the scratchpad through the translation table. *)
-let run_element_staged args compiled buffers stages kernel e =
-  (* gather *)
-  List.iteri
-    (fun i arg ->
-      match arg with
-      | Arg_gbl _ -> ()
-      | Arg_dat { map = None; _ } ->
-        (* [gather] zero-fills Inc buffers and copies otherwise. *)
-        Exec_common.gather [| compiled.(i) |] [| buffers.(i) |] e
-      | Arg_dat { dat; map = Some (m, k); access } -> (
-        let stage, slot_of, _ = Hashtbl.find stages dat.dat_id in
-        let slot = Hashtbl.find slot_of m.values.((e * m.arity) + k) in
-        match access with
-        | Access.Inc -> Array.fill buffers.(i) 0 dat.dim 0.0
-        | Access.Read | Access.Rw | Access.Write ->
-          Array.blit stage.scratch (slot * dat.dim) buffers.(i) 0 dat.dim
-        | Access.Min | Access.Max -> assert false))
-    args;
-  kernel buffers;
-  (* scatter *)
-  List.iteri
-    (fun i arg ->
-      match arg with
-      | Arg_gbl _ -> ()
-      | Arg_dat { map = None; _ } ->
-        Exec_common.scatter [| compiled.(i) |] [| buffers.(i) |] e
-      | Arg_dat { dat; map = Some (m, k); access } -> (
-        let stage, slot_of, _ = Hashtbl.find stages dat.dat_id in
-        let slot = Hashtbl.find slot_of m.values.((e * m.arity) + k) in
-        match access with
-        | Access.Read -> ()
-        | Access.Write | Access.Rw ->
-          Array.blit buffers.(i) 0 stage.scratch (slot * dat.dim) dat.dim
-        | Access.Inc ->
-          for d = 0 to dat.dim - 1 do
-            let j = (slot * dat.dim) + d in
-            stage.scratch.(j) <- stage.scratch.(j) +. buffers.(i).(d)
-          done
-        | Access.Min | Access.Max -> assert false))
-    args
+(* The block's executor: direct args keep addressing global memory; each
+   indirect arg is re-pointed at its dataset's scratchpad (AoS, like CUDA
+   shared memory) through a block-local slot table, so the shared runner
+   stages from the scratchpad.  The runner reads the slot of element [e] at
+   [(e * arity) + idx]; arity 1 and index [-lo] make that [e - lo]. *)
+let staged_exec (compiled : Exec_common.t) args stages ~lo ~hi =
+  let args = Array.of_list args in
+  let stage (a : Exec_common.dat_arg) =
+    match args.(a.slot) with
+    | Arg_dat { dat; map = Some (m, k); _ } ->
+      let stage, slot_of, _ = Hashtbl.find stages dat.dat_id in
+      let slots =
+        Array.init (hi - lo) (fun i ->
+            Hashtbl.find slot_of m.values.(((lo + i) * m.arity) + k))
+      in
+      { a with data = stage.scratch; map_values = slots; arity = 1; idx = -lo;
+               estride = a.dim; cstride = 1 }
+    | Arg_dat { map = None; _ } | Arg_gbl _ -> a
+  in
+  Exec_common.of_args
+    (Array.map
+       (function Exec_common.C_dat a -> Exec_common.C_dat (stage a) | c -> c)
+       compiled.args)
 
 (* ---- Entry point ---------------------------------------------------- *)
 
@@ -247,9 +227,10 @@ let run ?compiled config plan ~set_size ~args ~kernel =
             iter_block_by_color plan ~lo ~hi (fun e ->
                 Exec_common.run_element compiled buffers kernel e)
           | Staged ->
-            let stages = build_stages compiled args ~lo ~hi in
+            let stages = build_stages args ~lo ~hi in
+            let staged = staged_exec compiled args stages ~lo ~hi in
             iter_block_by_color plan ~lo ~hi (fun e ->
-                run_element_staged args compiled buffers stages kernel e);
+                Exec_common.run_element staged buffers kernel e);
             write_back_stages stages);
           if has_globals then Exec_common.merge_globals compiled buffers)
         same_color_blocks;

@@ -15,8 +15,6 @@ let run ?resolvers ?compiled ~set_size ~args ~kernel () =
     | None -> Exec_common.compile ?resolvers args
   in
   let buffers = Exec_common.make_buffers compiled in
-  for e = 0 to set_size - 1 do
-    Exec_common.run_element compiled buffers kernel e
-  done;
+  Exec_common.run_range compiled buffers kernel ~lo:0 ~hi:set_size;
   if Exec_common.has_globals compiled then
     Exec_common.merge_globals compiled buffers

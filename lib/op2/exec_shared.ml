@@ -25,10 +25,7 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
     let states =
       Am_taskpool.Pool.parallel_for_local pool ~lo:0 ~hi:set_size
         ~local:(fun () -> Exec_common.make_buffers compiled)
-        ~body:(fun buffers lo hi ->
-          for e = lo to hi - 1 do
-            Exec_common.run_element compiled buffers kernel e
-          done)
+        ~body:(fun buffers lo hi -> Exec_common.run_range compiled buffers kernel ~lo ~hi)
     in
     if has_globals then Exec_common.merge_worker_globals compiled states
   end
@@ -70,9 +67,7 @@ let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
             ~local:take
             ~body:(fun buffers block ->
               let lo, hi = Coloring.block_range blocks block in
-              for e = lo to hi - 1 do
-                Exec_common.run_element compiled buffers kernel e
-              done)
+              Exec_common.run_range compiled buffers kernel ~lo ~hi)
         in
         if has_globals then
           List.iter

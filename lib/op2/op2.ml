@@ -114,7 +114,7 @@ let dats ctx = Types.dats ctx.env
 
 (* Access-mode legality is enforced here, at declaration, so an illegal
    descriptor fails with the dataset name in hand rather than surfacing as
-   an [invalid_arg] deep inside a backend's gather specialiser. *)
+   an [invalid_arg] deep inside argument compilation. *)
 let require_valid_on_dat ~ctor dat access =
   if not (Access.valid_on_dat access) then
     invalid_arg
@@ -359,7 +359,7 @@ let comm_stats ctx =
 let now () = Unix.gettimeofday ()
 
 (* A per-call-site loop handle (see [Plan]): resolves the execution plan and
-   the compiled gather/scatter executor without rebuilding the signature
+   the compiled argument tables without rebuilding the signature
    string per invocation. *)
 type handle = Plan.handle
 

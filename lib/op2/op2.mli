@@ -228,7 +228,7 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 (** {1 The parallel loop} *)
 
 (** Per-call-site loop handle: caches the resolved execution plan and the
-    compiled gather/scatter executor for a [par_loop] site, so repeated
+    compiled argument tables for a [par_loop] site, so repeated
     invocations skip the signature-string cache lookup entirely (validity is
     re-checked with pointer compares every call, and the handle re-resolves
     itself after renumbering, layout conversion or dataset updates).

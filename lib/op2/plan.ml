@@ -230,15 +230,15 @@ let validate ?resolvers ~set_size args (plan : t) =
 
 (* One cache entry per (loop, argument signature, block size).  The plan is
    lazy — the sequential backend resolves entries without ever building a
-   colouring — and the compiled executor rides along so every call site with
-   the same signature shares one specialisation.  The executor is checked
+   colouring — and the compiled argument tables ride along so every call
+   site with the same signature shares them.  The executor is checked
    for freshness against the live arguments on every use ([compiled_matches]
    is a handful of pointer compares) because [update]/[convert_layout]/SoA
    conversion replace dataset arrays wholesale. *)
 type entry = {
   entry_name : string; (* loop name, for plan/compile trace spans *)
   entry_plan : t Lazy.t;
-  mutable entry_exec : Exec_common.compiled_arg array option;
+  mutable entry_exec : Exec_common.t option;
   mutable entry_foot : Am_core.Probe.info option;
       (* inferred kernel footprint, cached per signature alongside the plan
          so handle-resolved call sites skip the footprint-table lookup *)

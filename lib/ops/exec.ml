@@ -10,12 +10,15 @@
    code, Fig 5).
 
    Data is addressed through affine [view]s (base + z*plane + y*row +
-   x*col), so each argument compiles to one [int array] of flat offsets —
-   one delta per stencil point — and the gather is a straight indexed copy
-   with no closure call or index arithmetic beyond a single base
-   computation per point.  Unused axes iterate over the single coordinate
-   0; on blocks of at most two dimensions ([planar]) the single-component
-   closures drop the z term altogether.
+   x*col), so each dataset argument compiles to one table entry: its data
+   array, dimension, access kind and one flat offset per stencil point.
+   The runner walks these tables with no closure call besides the kernel
+   and no allocation per point: each argument's base is computed once per
+   row, the point's base adds [x * col], and the gather is a straight
+   indexed copy.  A grid-transfer (strided) argument maps [x] through its
+   stride in the same loop (its row term is strided once per row).
+   Arguments are gathered in argument order, the kernel runs, then only the
+   written arguments are scattered, in argument order.
    The distributed backend substitutes rank-local window views (which are
    affine too) without touching the traversal logic.  Inner loops use
    unsafe indexing; [Types.validate_args] proves every stencil stays inside
@@ -25,24 +28,35 @@
 module Access = Am_core.Access
 open Types
 
+type dat_arg = {
+  slot : int; (* position in the argument list and the staging buffers *)
+  view : view;
+  vdata : float array; (* [view.vdata] *)
+  vcol : int; (* [view.vcol] *)
+  dim : int;
+  stencil : stencil;
+  offsets : int array; (* flat delta of each stencil point *)
+  access : Access.t;
+  inc : bool; (* staged from zero and added back *)
+  stride : stride;
+  strided : bool; (* grid-transfer: [x] maps through the stride *)
+}
+
 type compiled_arg =
-  | C_dat of {
-      view : view;
-      dim : int;
-      stencil : stencil;
-      access : Access.t;
-      stride : stride;
-      gather : float array -> int -> int -> int -> unit; (* buf x y z *)
-      scatter : float array -> int -> int -> int -> unit;
-    }
+  | C_dat of dat_arg
   | C_gbl of { user_buf : float array; access : Access.t }
   | C_idx of int
+
+type t = {
+  args : compiled_arg array; (* argument order *)
+  dats : dat_arg array; (* every dataset argument, in argument order *)
+  written : int array; (* indices into [dats] of the written ones, in order *)
+  idxs : int array; (* slots of index arguments *)
+}
 
 type resolvers = { resolve_dat : dat -> view }
 
 let global_resolvers = { resolve_dat = dat_view }
-
-let ignore4 _ _ _ _ = ()
 
 (* Per-stencil-point flat deltas from the iteration point's base index. *)
 let build_offsets view stencil =
@@ -50,139 +64,59 @@ let build_offsets view stencil =
     (fun (dx, dy, dz) -> (dz * view.vplane) + (dy * view.vrow) + (dx * view.vcol))
     stencil
 
-(* [planar]: the dataset's block has at most two dimensions, so z is always
-   0.  Leaving z out of the single-component closures, which do almost all
-   of CloverLeaf's staging, was worth 3-6% of a 2D step in paired runs. *)
-let build_gather view ~planar ~dim ~stencil ~access ~stride =
-  let { vdata; vbase; vplane; vrow; vcol } = view in
-  let offsets = build_offsets view stencil in
-  let np = Array.length offsets in
-  match access with
-  | Access.Inc ->
-    if dim = 1 then fun buf _ _ _ -> Array.unsafe_set buf 0 0.0
-    else fun buf _ _ _ -> Array.fill buf 0 dim 0.0
-  | Access.Read | Access.Rw | Access.Write ->
-    if is_unit_stride stride then begin
-      if np = 1 && dim = 1 then
-        let o = vbase + offsets.(0) in
-        if planar then fun buf x y _ ->
-          Array.unsafe_set buf 0 (Array.unsafe_get vdata (o + (y * vrow) + (x * vcol)))
-        else fun buf x y z ->
-          Array.unsafe_set buf 0
-            (Array.unsafe_get vdata (o + (z * vplane) + (y * vrow) + (x * vcol)))
-      else if dim = 1 && planar then
-        fun buf x y _ ->
-          let base = vbase + (y * vrow) + (x * vcol) in
-          for p = 0 to np - 1 do
-            Array.unsafe_set buf p
-              (Array.unsafe_get vdata (base + Array.unsafe_get offsets p))
-          done
-      else if dim = 1 then
-        fun buf x y z ->
-          let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
-          for p = 0 to np - 1 do
-            Array.unsafe_set buf p
-              (Array.unsafe_get vdata (base + Array.unsafe_get offsets p))
-          done
-      else
-        fun buf x y z ->
-          let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
-          for p = 0 to np - 1 do
-            let src = base + Array.unsafe_get offsets p in
-            for d = 0 to dim - 1 do
-              Array.unsafe_set buf ((p * dim) + d) (Array.unsafe_get vdata (src + d))
-            done
-          done
-    end
-    else
-      fun buf x y z ->
-        let bx, by, bz = apply_stride stride ~x ~y ~z in
-        let base = vbase + (bz * vplane) + (by * vrow) + (bx * vcol) in
-        for p = 0 to np - 1 do
-          let src = base + Array.unsafe_get offsets p in
-          for d = 0 to dim - 1 do
-            Array.unsafe_set buf ((p * dim) + d) (Array.unsafe_get vdata (src + d))
-          done
-        done
-  | Access.Min | Access.Max -> invalid_arg "ops: Min/Max access on a dataset"
+(* Indices of the entries of [a] satisfying [f], ascending. *)
+let indices_where f a =
+  Array.of_list (List.filter (fun i -> f a.(i)) (List.init (Array.length a) Fun.id))
 
-(* Scatters are center-only and unit-stride by validation. *)
-let build_scatter view ~planar ~dim ~access =
-  let { vdata; vbase; vplane; vrow; vcol } = view in
-  match access with
-  | Access.Read -> ignore4
-  | Access.Write | Access.Rw ->
-    if dim = 1 && planar then
-      fun buf x y _ ->
-        Array.unsafe_set vdata (vbase + (y * vrow) + (x * vcol)) (Array.unsafe_get buf 0)
-    else if dim = 1 then
-      fun buf x y z ->
-        Array.unsafe_set vdata
-          (vbase + (z * vplane) + (y * vrow) + (x * vcol))
-          (Array.unsafe_get buf 0)
-    else
-      fun buf x y z ->
-        let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
-        for d = 0 to dim - 1 do
-          Array.unsafe_set vdata (base + d) (Array.unsafe_get buf d)
-        done
-  | Access.Inc ->
-    if dim = 1 && planar then
-      fun buf x y _ ->
-        let j = vbase + (y * vrow) + (x * vcol) in
-        Array.unsafe_set vdata j (Array.unsafe_get vdata j +. Array.unsafe_get buf 0)
-    else if dim = 1 then
-      fun buf x y z ->
-        let j = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
-        Array.unsafe_set vdata j (Array.unsafe_get vdata j +. Array.unsafe_get buf 0)
-    else
-      fun buf x y z ->
-        let base = vbase + (z * vplane) + (y * vrow) + (x * vcol) in
-        for d = 0 to dim - 1 do
-          let j = base + d in
-          Array.unsafe_set vdata j (Array.unsafe_get vdata j +. Array.unsafe_get buf d)
-        done
-  | Access.Min | Access.Max -> invalid_arg "ops: Min/Max access on a dataset"
+let of_args args =
+  let dats =
+    Array.of_list
+      (List.filter_map (function C_dat a -> Some a | C_gbl _ | C_idx _ -> None)
+         (Array.to_list args))
+  in
+  { args; dats;
+    written = indices_where (fun a -> Access.writes a.access) dats;
+    idxs = indices_where (function C_idx _ -> true | C_dat _ | C_gbl _ -> false) args }
 
-let compile_dat view ~planar ~dim ~stencil ~access ~stride =
-  C_dat
-    {
-      view; dim; stencil; access; stride;
-      gather = build_gather view ~planar ~dim ~stencil ~access ~stride;
-      scatter = build_scatter view ~planar ~dim ~access;
-    }
+let compile_dat slot view ~dim ~stencil ~access ~stride =
+  (match access with
+  | Access.Min | Access.Max -> invalid_arg "ops: Min/Max access on a dataset"
+  | Access.Read | Access.Write | Access.Rw | Access.Inc -> ());
+  { slot; view; vdata = view.vdata; vcol = view.vcol; dim; stencil;
+    offsets = build_offsets view stencil; access; inc = access = Access.Inc; stride;
+    strided = not (is_unit_stride stride) }
 
 let compile ?(resolvers = global_resolvers) args =
-  let one = function
+  let one slot = function
     | Arg_dat { dat; stencil; access; stride } ->
-      compile_dat (resolvers.resolve_dat dat) ~planar:(dat.dat_block.ndim < 3) ~dim:dat.dim
-        ~stencil ~access ~stride
+      C_dat
+        (compile_dat slot (resolvers.resolve_dat dat) ~dim:dat.dim ~stencil ~access ~stride)
     | Arg_gbl { buf; access; _ } -> C_gbl { user_buf = buf; access }
     | Arg_idx n -> C_idx n
   in
-  Array.of_list (List.map one args)
+  of_args (Array.of_list (List.mapi one args))
 
 (* Freshness of a cached executor against the live arguments: dataset
    backing arrays are compared physically (window substitution or any data
    replacement invalidates). *)
-let compiled_matches compiled args =
-  Array.length compiled = List.length args
+let compiled_matches t args =
+  Array.length t.args = List.length args
   && List.for_all2
        (fun c arg ->
          match (c, arg) with
          | C_dat cd, Arg_dat { dat; stencil; access; stride } ->
-           cd.view.vdata == dat.data && cd.access = access && cd.stencil = stencil
+           cd.vdata == dat.data && cd.access = access && cd.stencil = stencil
            && cd.stride = stride
          | C_gbl cg, Arg_gbl { buf; access; _ } ->
            cg.user_buf == buf && cg.access = access
          | C_idx n, Arg_idx m -> n = m
          | (C_dat _ | C_gbl _ | C_idx _), _ -> false)
-       (Array.to_list compiled) args
+       (Array.to_list t.args) args
 
-let has_globals compiled =
-  Array.exists (function C_gbl _ -> true | C_dat _ | C_idx _ -> false) compiled
+let has_globals t =
+  Array.exists (function C_gbl _ -> true | C_dat _ | C_idx _ -> false) t.args
 
-let make_buffers compiled =
+let make_buffers t =
   Array.map
     (function
       | C_dat { dim; stencil; _ } -> Array.make (dim * Array.length stencil) 0.0
@@ -193,7 +127,7 @@ let make_buffers compiled =
         | Access.Inc -> Array.make (Array.length user_buf) 0.0
         | Access.Write | Access.Rw ->
           invalid_arg "ops: Write/Rw access on a global argument"))
-    compiled
+    t.args
 
 (* Fold reduction partials [src] into [dst] per the access mode
    (Inc/Min/Max are associative and commutative). *)
@@ -206,17 +140,17 @@ let reduce_into access dst src =
     | Access.Read | Access.Write | Access.Rw -> ()
   done
 
-let merge_globals compiled buffers =
+let merge_globals t buffers =
   Array.iteri
     (fun i c ->
       match c with
       | C_gbl { user_buf; access } -> reduce_into access user_buf buffers.(i)
       | C_dat _ | C_idx _ -> ())
-    compiled
+    t.args
 
 (* Pairwise tree reduction of per-worker accumulator sets into the user
    buffers (replaces the mutex-serialised per-chunk merge). *)
-let merge_worker_globals compiled states =
+let merge_worker_globals t states =
   match states with
   | [] -> ()
   | states ->
@@ -232,40 +166,84 @@ let merge_worker_globals compiled states =
             match c with
             | C_gbl { access; _ } -> reduce_into access arr.(i).(k) arr.(half + i).(k)
             | C_dat _ | C_idx _ -> ())
-          compiled
+          t.args
       done;
       n := half
     done;
-    merge_globals compiled arr.(0);
+    merge_globals t arr.(0);
     if traced then Am_obs.Obs.end_span ()
 
-let run_point compiled buffers kernel x y z =
-  for i = 0 to Array.length compiled - 1 do
-    match Array.unsafe_get compiled i with
-    | C_dat { gather; _ } -> gather (Array.unsafe_get buffers i) x y z
-    | C_idx n ->
-      let buf = Array.unsafe_get buffers i in
-      buf.(0) <- Float.of_int x;
-      if n > 1 then buf.(1) <- Float.of_int y;
-      if n > 2 then buf.(2) <- Float.of_int z
-    | C_gbl _ -> ()
-  done;
-  kernel buffers;
-  for i = 0 to Array.length compiled - 1 do
-    match Array.unsafe_get compiled i with
-    | C_dat { scatter; _ } -> scatter (Array.unsafe_get buffers i) x y z
-    | C_gbl _ | C_idx _ -> ()
-  done
+(* ---- The runner ------------------------------------------------------ *)
 
-(* Box runner over caller-owned compiled arguments and staging buffers:
-   the lazy-chain tiled executor keeps both across slabs, so global
-   accumulations follow the eager traversal order, and merges globals once
-   after the whole chain. *)
-let run_range compiled buffers ~range ~kernel =
+(* Box runner over caller-owned tables and staging buffers: the lazy-chain
+   tiled executor keeps both across slabs, so global accumulations follow
+   the eager traversal order, and merges globals once after the whole
+   chain.  [rows.(i)] is argument [i]'s base index at x = 0 of the current
+   row; the point's base is [rows.(i) + x * vcol]. *)
+let run_range t buffers ~range ~kernel =
+  let dats = t.dats and written = t.written and idxs = t.idxs in
+  let nd = Array.length dats in
+  let rows = Array.make nd 0 in
   for z = range.zlo to range.zhi - 1 do
     for y = range.ylo to range.yhi - 1 do
+      for i = 0 to nd - 1 do
+        let a = Array.unsafe_get dats i in
+        let v = a.view and s = a.stride in
+        let by = if a.strided then floordiv (y * s.yn) s.yd else y in
+        let bz = if a.strided then floordiv (z * s.zn) s.zd else z in
+        Array.unsafe_set rows i (v.vbase + (bz * v.vplane) + (by * v.vrow))
+      done;
       for x = range.xlo to range.xhi - 1 do
-        run_point compiled buffers kernel x y z
+        for i = 0 to nd - 1 do
+          let a = Array.unsafe_get dats i in
+          let buf = Array.unsafe_get buffers a.slot in
+          let dim = a.dim and offsets = a.offsets in
+          if a.inc then
+            for d = 0 to dim - 1 do
+              Array.unsafe_set buf d 0.0
+            done
+          else begin
+            (* Write also gathers: kernels see the previous contents. *)
+            let bx = if a.strided then floordiv (x * a.stride.xn) a.stride.xd else x in
+            let base = Array.unsafe_get rows i + (bx * a.vcol) and vdata = a.vdata in
+            if dim = 1 then
+              for p = 0 to Array.length offsets - 1 do
+                Array.unsafe_set buf p
+                  (Array.unsafe_get vdata (base + Array.unsafe_get offsets p))
+              done
+            else
+              for p = 0 to Array.length offsets - 1 do
+                let src = base + Array.unsafe_get offsets p in
+                for d = 0 to dim - 1 do
+                  Array.unsafe_set buf ((p * dim) + d) (Array.unsafe_get vdata (src + d))
+                done
+              done
+          end
+        done;
+        for k = 0 to Array.length idxs - 1 do
+          let buf = Array.unsafe_get buffers (Array.unsafe_get idxs k) in
+          let n = Array.length buf in
+          Array.unsafe_set buf 0 (Float.of_int x);
+          if n > 1 then Array.unsafe_set buf 1 (Float.of_int y);
+          if n > 2 then Array.unsafe_set buf 2 (Float.of_int z)
+        done;
+        kernel buffers;
+        (* Written arguments are center-only and unit-stride by validation. *)
+        for k = 0 to Array.length written - 1 do
+          let i = Array.unsafe_get written k in
+          let a = Array.unsafe_get dats i in
+          let buf = Array.unsafe_get buffers a.slot and vdata = a.vdata in
+          let base = Array.unsafe_get rows i + (x * a.vcol) in
+          if a.inc then
+            for d = 0 to a.dim - 1 do
+              let j = base + d in
+              Array.unsafe_set vdata j (Array.unsafe_get vdata j +. Array.unsafe_get buf d)
+            done
+          else
+            for d = 0 to a.dim - 1 do
+              Array.unsafe_set vdata (base + d) (Array.unsafe_get buf d)
+            done
+        done
       done
     done
   done
@@ -309,72 +287,68 @@ let default_cuda_config = { tile_x = 32; tile_y = 4; tile_z = 4; staged = true }
    stencil's per-axis reach as a ring) into a scratch tile, the kernel works
    on the scratch, and written center regions are copied back — the
    structure of OPS's shared-memory CUDA kernels. *)
-let run_tile compiled buffers kernel args tile =
-  let args_arr = Array.of_list args in
+let run_tile t buffers kernel args tile =
+  let args = Array.of_list args in
+  let stage (a : dat_arg) =
+    if a.strided then
+      (* Grid-transfer reads bypass the scratch tile (their footprint is
+         not tile-shaped); they read global memory directly, as OPS's
+         generated multigrid kernels do. *)
+      a
+    else begin
+      let dat =
+        match args.(a.slot) with
+        | Arg_dat { dat; _ } -> dat
+        | Arg_gbl _ | Arg_idx _ -> assert false
+      in
+      let { view; dim; stencil; access; stride; _ } = a in
+      let reach ax =
+        Array.fold_left (fun m o -> max m (abs (offset_axis o ax))) 0 stencil
+      in
+      let s =
+        Array.init 3 (fun ax -> (range_lo tile ax - reach ax, range_hi tile ax + reach ax))
+      in
+      let w = snd s.(0) - fst s.(0) and h = snd s.(1) - fst s.(1) in
+      let scratch = Array.make (w * h * (snd s.(2) - fst s.(2)) * dim) 0.0 in
+      let sview =
+        { vdata = scratch;
+          vbase = (((((-fst s.(2)) * h) - fst s.(1)) * w) - fst s.(0)) * dim;
+          vplane = h * w * dim; vrow = w * dim; vcol = dim }
+      in
+      if Access.reads access || access = Access.Write then begin
+        (* Clamped to the addressable box: ring cells the stencil never
+           reaches may fall outside the ghost ring when the range itself
+           extends into it (validation guarantees actual reads stay
+           inside). *)
+        let clamp ax =
+          (max (fst s.(ax)) (lo_bound dat ax), min (snd s.(ax)) (hi_bound dat ax))
+        in
+        let (x0, x1), (y0, y1), (z0, z1) = (clamp 0, clamp 1, clamp 2) in
+        iter_box { xlo = x0; xhi = x1; ylo = y0; yhi = y1; zlo = z0; zhi = z1 }
+          (fun x y z ->
+            for c = 0 to dim - 1 do
+              vset sview ~x ~y ~z ~c (vget view ~x ~y ~z ~c)
+            done)
+      end;
+      compile_dat a.slot sview ~dim ~stencil ~access ~stride
+    end
+  in
   let staged =
-    Array.mapi
-      (fun i c ->
-        match c with
-        | C_dat { stride; _ } when not (is_unit_stride stride) ->
-          (* Grid-transfer reads bypass the scratch tile (their footprint is
-             not tile-shaped); they read global memory directly, as OPS's
-             generated multigrid kernels do. *)
-          c
-        | C_dat { view; dim; stencil; access; stride; _ } ->
-          let dat =
-            match args_arr.(i) with
-            | Arg_dat { dat; _ } -> dat
-            | Arg_gbl _ | Arg_idx _ -> assert false
-          in
-          let reach a =
-            Array.fold_left (fun m o -> max m (abs (offset_axis o a))) 0 stencil
-          in
-          let s =
-            Array.init 3 (fun a -> (range_lo tile a - reach a, range_hi tile a + reach a))
-          in
-          let w = snd s.(0) - fst s.(0) and h = snd s.(1) - fst s.(1) in
-          let scratch = Array.make (w * h * (snd s.(2) - fst s.(2)) * dim) 0.0 in
-          let sview =
-            { vdata = scratch;
-              vbase = (((((-fst s.(2)) * h) - fst s.(1)) * w) - fst s.(0)) * dim;
-              vplane = h * w * dim; vrow = w * dim; vcol = dim }
-          in
-          if Access.reads access || access = Access.Write then begin
-            (* Clamped to the addressable box: ring cells the stencil never
-               reaches may fall outside the ghost ring when the range itself
-               extends into it (validation guarantees actual reads stay
-               inside). *)
-            let clamp a =
-              (max (fst s.(a)) (lo_bound dat a), min (snd s.(a)) (hi_bound dat a))
-            in
-            let (x0, x1), (y0, y1), (z0, z1) = (clamp 0, clamp 1, clamp 2) in
-            iter_box { xlo = x0; xhi = x1; ylo = y0; yhi = y1; zlo = z0; zhi = z1 }
-              (fun x y z ->
-                for c = 0 to dim - 1 do
-                  vset sview ~x ~y ~z ~c (vget view ~x ~y ~z ~c)
-                done)
-          end;
-          compile_dat sview ~planar:(dat.dat_block.ndim < 3) ~dim ~stencil ~access ~stride
-        | (C_gbl _ | C_idx _) as c -> c)
-      compiled
+    of_args (Array.map (function C_dat a -> C_dat (stage a) | c -> c) t.args)
   in
   run_range staged buffers ~range:tile ~kernel;
   (* Write back center regions of written datasets; increment-only scratch
      tiles start from zero, so they are added. *)
-  Array.iteri
-    (fun i c ->
-      match (c, staged.(i)) with
-      | C_dat { view; dim; access; _ }, C_dat { view = sview; _ }
-        when Access.writes access ->
-        iter_box tile (fun x y z ->
-            for d = 0 to dim - 1 do
-              let v = vget sview ~x ~y ~z ~c:d in
-              if access = Access.Inc then
-                vset view ~x ~y ~z ~c:d (vget view ~x ~y ~z ~c:d +. v)
-              else vset view ~x ~y ~z ~c:d v
-            done)
-      | _ -> ())
-    compiled
+  Array.iter
+    (fun i ->
+      let { view; dim; inc; _ } = t.dats.(i) and sview = staged.dats.(i).view in
+      iter_box tile (fun x y z ->
+          for d = 0 to dim - 1 do
+            let v = vget sview ~x ~y ~z ~c:d in
+            if inc then vset view ~x ~y ~z ~c:d (vget view ~x ~y ~z ~c:d +. v)
+            else vset view ~x ~y ~z ~c:d v
+          done))
+    t.written
 
 let run_cuda ?compiled config ~range ~args ~kernel =
   let compiled =

@@ -25,11 +25,11 @@ type backend =
   | Cuda_sim of Exec.cuda_config
   | Check (* sanitizer: seq semantics + access-descriptor guards *)
 
-(* Per-call-site loop handle: caches the compiled gather/scatter executor
-   (offset tables and specialised closures) so repeated invocations skip
+(* Per-call-site loop handle: caches the compiled argument tables (data
+   arrays and stencil offsets, see [Exec]) so repeated invocations skip
    argument compilation.  Freshness is a handful of pointer compares per
    call; a changed dataset array, stencil or access recompiles. *)
-type handle = { mutable h_exec : Exec.compiled_arg array option }
+type handle = { mutable h_exec : Exec.t option }
 
 let make_handle () = { h_exec = None }
 
@@ -435,7 +435,7 @@ let reduces_globals compiled =
     (function
       | Exec.C_gbl { access = Access.Inc | Access.Min | Access.Max; _ } -> true
       | Exec.C_gbl _ | Exec.C_dat _ | Exec.C_idx _ -> false)
-    compiled
+    compiled.Exec.args
 
 (* The wavefront schedule of a segment: outer and inner projections. *)
 let wave_schedule ctx entries =

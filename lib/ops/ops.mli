@@ -224,7 +224,7 @@ val mirror_halo :
 (** {1 The parallel loop} *)
 
 (** Per-call-site loop handle. A handle caches the compiled executor
-    (per-argument offset tables and gather/scatter closures) for one
+    (per-argument data arrays and stencil offset tables) for one
     [par_loop] call site, so repeated invocations with the same arguments
     skip argument compilation. Freshness is re-checked on every call with
     a few pointer compares; a changed dataset array, stencil, access or
