@@ -13,13 +13,11 @@
      dune exec bench/main.exe -- --no-micro  # skip the Bechamel section
      dune exec bench/main.exe -- micro --json [file]
        # also write the micro estimates as JSON (default BENCH.json)
-     dune exec bench/main.exe -- tiling --json [file]
-       # re-measure only the tiling sections and update them in place
 
    --json additionally drops <stem>.trace.json and <stem>.counters.json
    (the traced halo-accounting runs) next to the JSON.  BENCH.json is
-   committed so the perf trajectory (notably the tiling section) travels
-   with the code; the trace/counters artifacts are gitignored. *)
+   committed so the perf trajectory travels with the code; the
+   trace/counters artifacts are gitignored. *)
 
 module Registry = Am_experiments.Registry
 
@@ -293,231 +291,6 @@ let print_recovery rows =
   Am_util.Table.print table;
   print_newline ()
 
-(* Cross-loop cache tiling: eager vs lazy-tiled wall-clock of the two
-   chain-heavy structured proxies, plus a tile-size sweep.  Problem sizes
-   are picked so one chain's working set overflows the private caches —
-   that is the regime the skewed schedule exists for (the micro sizes
-   above fit in L2 and would show nothing). *)
-type tiling_row = {
-  til_name : string;
-  til_eager : Am_util.Regress.summary;
-  til_sweep : (int * Am_util.Regress.summary) list; (* tile size -> per-step summary *)
-}
-
-let til_best r =
-  List.fold_left
-    (fun ((_, bs) as best) ((_, s) as cand) ->
-      if s.Am_util.Regress.median < bs.Am_util.Regress.median then cand else best)
-    (List.hd r.til_sweep) (List.tl r.til_sweep)
-
-(* One configuration of a paired set: [step] is timed, [enter] and [leave]
-   run untimed around every step (a tiled-par run holds its domain pool
-   only while it is measured: idle domains of a live pool make every other
-   configuration's minor collections synchronise with them). *)
-type paired = { enter : unit -> unit; step : unit -> unit; leave : unit -> unit }
-
-let timed_only step = { enter = ignore; step; leave = ignore }
-
-(* Paired A/B timing of whole steps.  Every configuration builds its own
-   app (fresh state, so no run warms another's caches) and takes one
-   warm-up step; then each round times one step of every configuration
-   back to back, starting one configuration later each round, so a slow
-   phase of a shared machine lands on all of them alike rather than on
-   whichever was measured alone.  Returns one median/IQR summary per
-   configuration, in order. *)
-let paired_steps ~rounds configs =
-  Gc.compact ();
-  let runs = Array.of_list (List.map (fun setup -> setup ()) configs) in
-  let n = Array.length runs in
-  let sample c =
-    let { enter; step; leave } = runs.(c) in
-    enter ();
-    let t0 = Unix.gettimeofday () in
-    step ();
-    let dt = Unix.gettimeofday () -. t0 in
-    leave ();
-    dt
-  in
-  Array.iteri (fun c _ -> ignore (sample c)) runs;
-  let samples = Array.make_matrix n rounds 0.0 in
-  for r = 0 to rounds - 1 do
-    for k = 0 to n - 1 do
-      let c = (r + k) mod n in
-      samples.(c).(r) <- sample c
-    done
-  done;
-  Array.to_list (Array.map Am_util.Regress.summarize samples)
-
-let tiling_accounting () =
-  (* [make] builds a fresh app, [set_lazy] switches it to recording with a
-     given tile size, [step] advances it.  Eager and every tile size run as
-     one paired set: both modes execute the identical step sequence
-     (bitwise equality), so the per-round spread is machine noise. *)
-  let measure til_name ~tiles ~make ~set_lazy ~step =
-    let config tile () =
-      let t = make () in
-      Option.iter (set_lazy t) tile;
-      timed_only (fun () -> step t)
-    in
-    let configs = config None :: List.map (fun t -> config (Some t)) tiles in
-    match paired_steps ~rounds:9 configs with
-    | til_eager :: sweep -> { til_name; til_eager; til_sweep = List.combine tiles sweep }
-    | [] -> assert false
-  in
-  [
-    measure "fig5/cloverleaf_step_ops" ~tiles:[ 4; 8; 16; 32 ]
-      ~make:(fun () -> Am_cloverleaf.App.create ~nx:192 ~ny:192 ())
-      ~set_lazy:(fun t tile ->
-        Am_ops.Ops.set_lazy t.Am_cloverleaf.App.ctx ~tile_size:tile true)
-      ~step:(fun t -> ignore (Am_cloverleaf.App.hydro_step t));
-    measure "apps/tealeaf_cg_step" ~tiles:[ 2; 4; 8 ]
-      ~make:(fun () -> Am_tealeaf.App.create ~n:24 ())
-      ~set_lazy:(fun t tile ->
-        Am_ops.Ops3.set_lazy t.Am_tealeaf.App.ctx ~tile_size:tile true)
-      ~step:(fun t -> ignore (Am_tealeaf.App.step ~max_iters:30 t));
-  ]
-
-let print_tiling rows =
-  let table =
-    Am_util.Table.create
-      ~title:"cross-loop cache tiling (lazy chains, median wall-clock per step)"
-      ~header:[ "run"; "mode"; "per step"; "n"; "IQR"; "vs eager" ]
-      ~aligns:[ Am_util.Table.Left; Left; Right; Right; Right; Right ]
-      ()
-  in
-  let open Am_util.Regress in
-  let row name mode s eager_median =
-    Am_util.Table.add_row table
-      [
-        name;
-        mode;
-        Am_util.Units.seconds s.median;
-        string_of_int s.n;
-        Am_util.Units.seconds (iqr s);
-        Printf.sprintf "%.2fx" (if s.median > 0.0 then eager_median /. s.median else 0.0);
-      ]
-  in
-  List.iter
-    (fun r ->
-      row r.til_name "eager" r.til_eager r.til_eager.median;
-      List.iter
-        (fun (tile, s) ->
-          row r.til_name (Printf.sprintf "tile %d" tile) s r.til_eager.median)
-        r.til_sweep)
-    rows;
-  Am_util.Table.print table;
-  print_newline ()
-
-(* Parallel tiled wavefront execution: eager vs sequential-tiled vs
-   tiled-par on the domain pool for the two chain-heavy proxies, as one
-   paired set.  Pool size 1 isolates the wavefront dispatch overhead (same
-   schedule, inline execution); the largest pool shows what the diagonal
-   concurrency buys.  Pool sizes are clamped to the domains the host
-   recommends: more domains than cores only measure time slicing. *)
-type tiling_par_row = {
-  tp_name : string;
-  tp_eager : Am_util.Regress.summary;
-  tp_tiled : Am_util.Regress.summary;
-  tp_pools : (int * Am_util.Regress.summary) list; (* pool size -> summary *)
-}
-
-let tp_best r =
-  List.fold_left
-    (fun ((_, bs) as best) ((_, s) as cand) ->
-      if s.Am_util.Regress.median < bs.Am_util.Regress.median then cand else best)
-    (List.hd r.tp_pools) (List.tl r.tp_pools)
-
-let tiling_par_accounting () =
-  let pools =
-    List.sort_uniq compare
-      (List.map (fun p -> min p (Domain.recommended_domain_count ())) [ 1; 4 ])
-  in
-  let measure tp_name ~tile ~make ~set_tiled ~set_par ~step =
-    let eager () =
-      let t = make () in
-      timed_only (fun () -> step t)
-    in
-    let tiled () =
-      let t = make () in
-      set_tiled t tile;
-      timed_only (fun () -> step t)
-    in
-    (* Switching a pool in re-enters lazy mode, which flushes what is
-       recorded; every configuration therefore flushes inside its timed
-       step, so no step's tail runs untimed. *)
-    let par size () =
-      let t = make () in
-      let pool = ref None in
-      {
-        enter =
-          (fun () ->
-            let p = Am_taskpool.Pool.create ~size () in
-            pool := Some p;
-            set_par t p tile);
-        step = (fun () -> step t);
-        leave = (fun () -> Option.iter Am_taskpool.Pool.shutdown !pool);
-      }
-    in
-    match paired_steps ~rounds:9 (eager :: tiled :: List.map par pools) with
-    | tp_eager :: tp_tiled :: by_pool ->
-      { tp_name; tp_eager; tp_tiled; tp_pools = List.combine pools by_pool }
-    | _ -> assert false
-  in
-  [
-    measure "fig5/cloverleaf_step_ops" ~tile:16
-      ~make:(fun () -> Am_cloverleaf.App.create ~nx:192 ~ny:192 ())
-      ~set_tiled:(fun t tile ->
-        Am_ops.Ops.set_lazy t.Am_cloverleaf.App.ctx ~tile_size:tile true)
-      ~set_par:(fun t pool tile ->
-        Am_ops.Ops.set_tile_exec t.Am_cloverleaf.App.ctx
-          (Am_ops.Ops.Tiled_par { pool; tile }))
-      ~step:(fun t ->
-        ignore (Am_cloverleaf.App.hydro_step t);
-        Am_ops.Ops.flush t.Am_cloverleaf.App.ctx);
-    measure "apps/tealeaf_cg_step" ~tile:4
-      ~make:(fun () -> Am_tealeaf.App.create ~n:24 ())
-      ~set_tiled:(fun t tile ->
-        Am_ops.Ops3.set_lazy t.Am_tealeaf.App.ctx ~tile_size:tile true)
-      ~set_par:(fun t pool tile ->
-        Am_ops.Ops3.set_tile_exec t.Am_tealeaf.App.ctx
-          (Am_ops.Ops3.Tiled_par { pool; tile }))
-      ~step:(fun t ->
-        ignore (Am_tealeaf.App.step ~max_iters:30 t);
-        Am_ops.Ops3.flush t.Am_tealeaf.App.ctx);
-  ]
-
-let print_tiling_par rows =
-  let table =
-    Am_util.Table.create
-      ~title:"parallel tiled wavefronts (median wall-clock per step)"
-      ~header:[ "run"; "mode"; "per step"; "n"; "IQR"; "vs eager" ]
-      ~aligns:[ Am_util.Table.Left; Left; Right; Right; Right; Right ]
-      ()
-  in
-  let open Am_util.Regress in
-  let row name mode s eager_median =
-    Am_util.Table.add_row table
-      [
-        name;
-        mode;
-        Am_util.Units.seconds s.median;
-        string_of_int s.n;
-        Am_util.Units.seconds (iqr s);
-        Printf.sprintf "%.2fx" (if s.median > 0.0 then eager_median /. s.median else 0.0);
-      ]
-  in
-  List.iter
-    (fun r ->
-      row r.tp_name "eager" r.tp_eager r.tp_eager.median;
-      row r.tp_name "tiled" r.tp_tiled r.tp_eager.median;
-      List.iter
-        (fun (size, s) ->
-          row r.tp_name (Printf.sprintf "tiled-par %d" size) s r.tp_eager.median)
-        r.tp_pools)
-    rows;
-  Am_util.Table.print table;
-  print_newline ()
-
 (* Sanitizer overhead: the same Airfoil iteration on the reference backend
    and on the access-guarded Check backend, wall-clock per iteration. *)
 let sanitizer_overhead () =
@@ -681,55 +454,11 @@ let fprint_doctor oc rows =
     rows;
   output_string oc "  }"
 
-(* The ["tiling"] and ["tiling_par"] members of a bench dump (no trailing
-   separator): medians per configuration with the IQR alongside. *)
-let output_tiling_sections oc tiling tiling_par =
-  let open Am_util.Regress in
-  (* A JSON object from an (int key, summary) list, valued by [f]. *)
-  let obj f oc l =
-    List.iteri
-      (fun j (k, s) ->
-        Printf.fprintf oc "%s\"%d\": %.9f" (if j = 0 then "" else ", ") k (f s))
-      l
-  in
-  let members = obj (fun s -> s.median) and iqrs = obj iqr in
-  let speedup eager best = if best.median > 0.0 then eager.median /. best.median else 0.0 in
-  output_string oc "  \"tiling\": {\n";
-  let n_til = List.length tiling in
-  List.iteri
-    (fun i r ->
-      let best_tile, best_s = til_best r in
-      Printf.fprintf oc
-        "    %S: { \"eager_seconds\": %.9f, \"eager_iqr\": %.9f, \"n\": %d, \
-         \"tiles\": { %a }, \"tiles_iqr\": { %a }, \"best_tile\": %d, \
-         \"speedup_x\": %.3f }%s\n"
-        r.til_name r.til_eager.median (iqr r.til_eager) r.til_eager.n members r.til_sweep
-        iqrs r.til_sweep best_tile (speedup r.til_eager best_s)
-        (if i = n_til - 1 then "" else ","))
-    tiling;
-  output_string oc "  },\n  \"tiling_par\": {\n";
-  let n_tp = List.length tiling_par in
-  List.iteri
-    (fun i r ->
-      let best_pool, best_s = tp_best r in
-      Printf.fprintf oc
-        "    %S: { \"eager_seconds\": %.9f, \"eager_iqr\": %.9f, \
-         \"tiled_seconds\": %.9f, \"tiled_iqr\": %.9f, \"n\": %d, \
-         \"pools\": { %a }, \"pools_iqr\": { %a }, \"best_pool\": %d, \
-         \"speedup_x\": %.3f }%s\n"
-        r.tp_name r.tp_eager.median (iqr r.tp_eager) r.tp_tiled.median (iqr r.tp_tiled)
-        r.tp_eager.n members r.tp_pools iqrs r.tp_pools best_pool
-        (speedup r.tp_eager best_s)
-        (if i = n_tp - 1 then "" else ","))
-    tiling_par;
-  output_string oc "  }"
-
 (* Machine-readable dump of the micro estimates: benchmark name to OLS
    nanoseconds per run, plus the exposed/overlapped halo-seconds split of
    the distributed proxies.  Hand-rolled JSON — names contain only
    [a-z0-9_/]. *)
-let write_json path estimates halo sanitizer analysis tiling tiling_par recovery
-    doctor =
+let write_json path estimates halo sanitizer analysis recovery doctor =
   let oc = open_out path in
   output_string oc "{\n  \"unit\": \"ns_per_run\",\n  \"results\": {\n";
   let n = List.length estimates in
@@ -779,8 +508,7 @@ let write_json path estimates halo sanitizer analysis tiling tiling_par recovery
     -. analysis.an_check_light.Am_util.Regress.median)
     analysis.an_light_loops analysis.an_light_elements
     analysis.an_halo_depth_saved analysis.an_halo_exchanges_saved;
-  output_tiling_sections oc tiling tiling_par;
-  output_string oc ",\n  \"obs\": {\n";
+  output_string oc "  \"obs\": {\n";
   Printf.fprintf oc
     "    \"plan_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f },\n"
     plan_hits plan_misses (rate plan_hits plan_misses);
@@ -805,7 +533,7 @@ let write_json path estimates halo sanitizer analysis tiling tiling_par recovery
         (if i = n_rec - 1 then "" else ","))
     recovery;
   (* Latency distributions accumulated by the registry over every run
-     above (per-loop seconds, halo latency, chain flush/tile times). *)
+     above (per-loop seconds, halo latency). *)
   output_string oc "  },\n  \"histograms\": {\n";
   let hists =
     List.filter
@@ -874,10 +602,6 @@ let run_micro ?json () =
     (Am_util.Units.seconds (Am_util.Regress.iqr check_s));
   let analysis = analysis_accounting () in
   print_analysis analysis;
-  let tiling = tiling_accounting () in
-  print_tiling tiling;
-  let tiling_par = tiling_par_accounting () in
-  print_tiling_par tiling_par;
   let recovery = recovery_accounting () in
   print_recovery recovery;
   match json with
@@ -885,7 +609,7 @@ let run_micro ?json () =
   | Some path ->
     write_json path
       (List.sort (fun (a, _) (b, _) -> compare a b) !estimates)
-      halo sanitizer analysis tiling tiling_par recovery (doctor_rows ());
+      halo sanitizer analysis recovery (doctor_rows ());
     let stem = Filename.remove_extension path in
     let trace_path = stem ^ ".trace.json" in
     let counters_path = stem ^ ".counters.json" in
@@ -893,38 +617,6 @@ let run_micro ?json () =
     Am_obs.Obs.write_counters ~path:counters_path;
     Printf.printf "wrote %s and %s (halo-accounting runs)\n%!" trace_path
       counters_path
-
-(* [tiling [--json [FILE]]]: just the paired tiling measurements.  With
-   --json the ["tiling"] and ["tiling_par"] sections of an existing dump
-   (default BENCH.json) are replaced in place and the rest of the file is
-   left as it was. *)
-let run_tiling ?json () =
-  print_endline "######## tiling — paired eager vs tiled steps ########\n";
-  let tiling = tiling_accounting () in
-  print_tiling tiling;
-  let tiling_par = tiling_par_accounting () in
-  print_tiling_par tiling_par;
-  Option.iter
-    (fun path ->
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      let find sub =
-        let n = String.length sub in
-        let rec go i =
-          if i + n > String.length text then
-            failwith (Printf.sprintf "%s has no %s member" path sub)
-          else if String.sub text i n = sub then i
-          else go (i + 1)
-        in
-        go 0
-      in
-      let lo = find "  \"tiling\": {" and hi = find "  \"obs\": {" in
-      Out_channel.with_open_bin path (fun oc ->
-          output_string oc (String.sub text 0 lo);
-          output_tiling_sections oc tiling tiling_par;
-          output_string oc ",\n";
-          output_string oc (String.sub text hi (String.length text - hi)));
-      Printf.printf "updated the tiling sections of %s\n%!" path)
-    json
 
 (* ---- Statistical timing series + regression gate ------------------------- *)
 
@@ -1172,9 +864,7 @@ let () =
       Registry.experiments;
     print_endline "micro      Bechamel micro-benchmarks";
     print_endline
-      "series     repeated wall-clock timings (--repeat N, --tiny, --compare FILE)";
-    print_endline
-      "tiling     paired eager vs tiled steps (--json [FILE] updates those sections)"
+      "series     repeated wall-clock timings (--repeat N, --tiny, --compare FILE)"
   | [] ->
     Registry.run_all ();
     run_micro ?json ()
@@ -1183,7 +873,6 @@ let () =
     List.iter
       (fun id ->
         if id = "micro" then run_micro ?json ()
-        else if id = "tiling" then run_tiling ?json ()
         else if id = "series" then
           run_series ?json ?compare:compare_to ~tiny ~repeat ()
         else

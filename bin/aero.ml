@@ -93,7 +93,10 @@ let run n iters backend ranks renumber verify check analyze trace obs_json fault
 
 open Cmdliner
 
-let n = Arg.(value & opt int 48 & info [ "size" ] ~doc:"Cells per side of the unit square.")
+let n =
+  Arg.(
+    value & opt Check_common.positive_int 48
+    & info [ "size" ] ~doc:"Cells per side of the unit square.")
 let iters = Arg.(value & opt int 2 & info [ "iters" ] ~doc:"Newton iterations.")
 
 let backend =
@@ -102,7 +105,8 @@ let backend =
     & opt string "seq"
     & info [ "backend" ] ~doc:"Backend: seq, vec, shared, cuda, mpi or hybrid.")
 
-let ranks = Arg.(value & opt int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
+let ranks =
+  Arg.(value & opt Check_common.positive_int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
 
 let renumber =
   Arg.(value & flag & info [ "renumber" ] ~doc:"Apply RCM mesh renumbering first.")

@@ -122,8 +122,8 @@ let run nx ny iters backend ranks overlap renumber verify check analyze save_to
 
 open Cmdliner
 
-let nx = Arg.(value & opt int 120 & info [ "nx" ] ~doc:"Cells in x.")
-let ny = Arg.(value & opt int 80 & info [ "ny" ] ~doc:"Cells in y.")
+let nx = Arg.(value & opt Check_common.positive_int 120 & info [ "nx" ] ~doc:"Cells in x.")
+let ny = Arg.(value & opt Check_common.positive_int 80 & info [ "ny" ] ~doc:"Cells in y.")
 let iters = Arg.(value & opt int 100 & info [ "iters" ] ~doc:"Outer iterations.")
 
 let backend =
@@ -132,7 +132,8 @@ let backend =
     & opt string "seq"
     & info [ "backend" ] ~doc:"Backend: seq, vec, shared, cuda, mpi or hybrid.")
 
-let ranks = Arg.(value & opt int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
+let ranks =
+  Arg.(value & opt Check_common.positive_int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
 
 let overlap =
   Arg.(

@@ -15,7 +15,8 @@
 
    Static error-severity findings and dynamic sanitizer violations go
    through one exit path: both print their evidence and fail the run with
-   exit code 1. *)
+   exit code 1.  Malformed sizes and rank counts never reach the run: the
+   converters below reject them as usage errors (exit 124). *)
 
 let arg =
   let open Cmdliner in
@@ -63,3 +64,20 @@ let guard f =
   | Am_op2.Exec_check.Violation msg | Am_ops.Exec_check.Violation msg ->
     prerr_endline msg;
     fail_run "dynamic access violation"
+
+(* Converters for problem-size and rank-count flags: a value the
+   application cannot build (a zero-cell mesh, zero ranks, an odd Hydra
+   grid) is a usage error that names the flag, not an exception from deep
+   inside mesh or partition setup. *)
+let int_conv ~expected ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
+  in
+  Cmdliner.Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+let positive_int = int_conv ~expected:"a positive integer" (fun n -> n > 0)
+
+let positive_even_int =
+  int_conv ~expected:"a positive even integer" (fun n -> n > 0 && n mod 2 = 0)

@@ -10,7 +10,7 @@ module Ops = Am_ops.Ops
 module App = Am_cloverleaf.App
 
 let run nx ny steps backend ranks overlap summary_every verify van_leer check
-    analyze trace obs_json faults recover tile tile_par perf =
+    analyze trace obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
@@ -63,30 +63,6 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
       failwith "--overlap requires --backend mpi, mpi2d or hybrid";
     Ops.set_comm_mode t.App.ctx Ops.Overlap
   end;
-  (match tile with
-  | Some tile_size ->
-    Ops.set_lazy t.App.ctx ~tile_size true;
-    Printf.printf "lazy loop chains: %s, tile %d rows\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Ops.tile_size t.App.ctx)
-  | None -> ());
-  let wf_pool = ref None in
-  (match tile_par with
-  | Some workers ->
-    let p =
-      Am_taskpool.Pool.create ?size:(if workers > 0 then Some workers else None) ()
-    in
-    wf_pool := Some p;
-    Ops.set_tile_exec t.App.ctx
-      (Ops.Tiled_par { pool = p; tile = Ops.tile_size t.App.ctx });
-    Printf.printf "parallel tiling: %s, wavefronts on %d workers, tile %d rows\n%!"
-      (match (if check then "check" else backend) with
-      | "seq" | "check" -> "on"
-      | _ -> "recording bypassed on this backend")
-      (Am_taskpool.Pool.size p) (Ops.tile_size t.App.ctx)
-  | None -> ());
   (match Fault_common.injector fc with
   | Some f -> Ops.set_fault_injector t.App.ctx f
   | None -> ());
@@ -136,19 +112,19 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
     ~roofline_gbs:Am_perfmodel.Machines.(xeon_e5_2697v2.stream_bw)
     ~loops:(Am_core.Profile.obs_rows (Ops.profile t.App.ctx))
     ();
-  (match !wf_pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ());
   match !pool with Some p -> Am_taskpool.Pool.shutdown p | None -> ()
 
 open Cmdliner
 
-let nx = Arg.(value & opt int 128 & info [ "nx" ] ~doc:"Cells in x.")
-let ny = Arg.(value & opt int 128 & info [ "ny" ] ~doc:"Cells in y.")
+let nx = Arg.(value & opt Check_common.positive_int 128 & info [ "nx" ] ~doc:"Cells in x.")
+let ny = Arg.(value & opt Check_common.positive_int 128 & info [ "ny" ] ~doc:"Cells in y.")
 let steps = Arg.(value & opt int 50 & info [ "steps" ] ~doc:"Hydro steps.")
 
 let backend =
   Arg.(value & opt string "seq" & info [ "backend" ] ~doc:"seq, shared, cuda, mpi, mpi2d or hybrid.")
 
-let ranks = Arg.(value & opt int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
+let ranks =
+  Arg.(value & opt Check_common.positive_int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
 
 let overlap =
   Arg.(
@@ -185,29 +161,6 @@ let obs_json_arg =
         ~doc:"Write the runtime counter registry as JSON to $(docv)."
         ~docv:"FILE")
 
-let tile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile" ]
-        ~doc:
-          "Lazy loop chains with skewed cache tiling: par_loops are queued and \
-           executed tile-by-tile at flush points.  Optional $(docv) is the tile \
-           height in rows (bare --tile keeps the default)."
-        ~docv:"ROWS")
-
-let tile_par_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile-par" ]
-        ~doc:
-          "Parallel tiled execution: skew rows and columns independently and \
-           dispatch each wavefront's tiles onto a domain pool.  Optional $(docv) \
-           is the worker count (bare --tile-par uses the machine default).  \
-           Implies --tile; combine with --tile N to pick the tile height."
-        ~docv:"WORKERS")
-
 let cmd =
   Cmd.v
     (Cmd.info "cloverleaf" ~doc:"CloverLeaf 2D hydrodynamics proxy application (OPS)")
@@ -215,7 +168,6 @@ let cmd =
       const run $ nx $ ny $ steps $ backend $ ranks $ overlap $ summary_every
       $ verify $ van_leer $ Check_common.arg $ Check_common.analyze_arg
       $ trace_arg $ obs_json_arg
-      $ Fault_common.faults_arg $ Fault_common.recover_arg $ tile_arg
-      $ tile_par_arg $ Perf_common.arg)
+      $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)
 
 let () = exit (Cmd.eval cmd)

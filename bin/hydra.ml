@@ -6,7 +6,7 @@ module Op2 = Am_op2.Op2
 module App = Am_hydra.App
 
 let run nx ny iters backend ranks renumber no_multigrid check analyze trace
-    obs_json faults recover tile perf =
+    obs_json faults recover perf =
   Check_common.guard @@ fun () ->
   Am_obs.Obs.reset ();
   if trace <> None then Am_obs.Obs.set_tracing true;
@@ -40,8 +40,6 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
   Printf.printf "hydra-sim: %d fine cells (+%d coarse), %d loops/iteration\n%!"
     t.App.mesh.Am_mesh.Umesh.n_cells t.App.coarse_mesh.Am_mesh.Umesh.n_cells
     App.loops_per_iteration;
-  if tile <> None then
-    Printf.printf "--tile: loop-chain tiling is unsupported on OP2 (unstructured mesh), ignored\n%!";
   if renumber then begin
     let before, after = Op2.renumber t.App.ctx ~through:t.App.edge_cells in
     Printf.printf "renumbered: dual-graph mean bandwidth %.1f -> %.1f\n%!" before after
@@ -76,14 +74,17 @@ let run nx ny iters backend ranks renumber no_multigrid check analyze trace
 
 open Cmdliner
 
-let nx = Arg.(value & opt int 96 & info [ "nx" ] ~doc:"Fine cells in x (even).")
-let ny = Arg.(value & opt int 64 & info [ "ny" ] ~doc:"Fine cells in y (even).")
+let nx =
+  Arg.(value & opt Check_common.positive_even_int 96 & info [ "nx" ] ~doc:"Fine cells in x (even).")
+let ny =
+  Arg.(value & opt Check_common.positive_even_int 64 & info [ "ny" ] ~doc:"Fine cells in y (even).")
 let iters = Arg.(value & opt int 50 & info [ "iters" ] ~doc:"Outer iterations.")
 
 let backend =
   Arg.(value & opt string "seq" & info [ "backend" ] ~doc:"seq, shared, cuda or mpi.")
 
-let ranks = Arg.(value & opt int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
+let ranks =
+  Arg.(value & opt Check_common.positive_int 4 & info [ "ranks" ] ~doc:"Simulated MPI ranks.")
 let renumber = Arg.(value & flag & info [ "renumber" ] ~doc:"Apply RCM renumbering.")
 
 let no_multigrid =
@@ -107,23 +108,12 @@ let obs_json_arg =
         ~doc:"Write the runtime counter registry as JSON to $(docv)."
         ~docv:"FILE")
 
-let tile_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 0) (some int) None
-    & info [ "tile" ]
-        ~doc:
-          "Accepted for driver-flag parity with the OPS proxies; loop-chain \
-           tiling needs the structured-mesh dependence model and is \
-           unsupported on OP2, so the flag is ignored."
-        ~docv:"N")
-
 let cmd =
   Cmd.v
     (Cmd.info "hydra" ~doc:"Production-scale synthetic RANS pipeline (OP2)")
     Term.(
       const run $ nx $ ny $ iters $ backend $ ranks $ renumber $ no_multigrid
       $ Check_common.arg $ Check_common.analyze_arg $ trace_arg $ obs_json_arg
-      $ Fault_common.faults_arg $ Fault_common.recover_arg $ tile_arg $ Perf_common.arg)
+      $ Fault_common.faults_arg $ Fault_common.recover_arg $ Perf_common.arg)
 
 let () = exit (Cmd.eval cmd)

@@ -15,8 +15,8 @@
    - a declared access that was *never observed* is only an
      over-declaration [Warning]: probing samples data-dependent branches,
      so absence is evidence, not proof.  The warning carries the
-     tightened footprint, which is also what the halo and tiling
-     consumers act on;
+     tightened footprint, which is also what the distributed halo
+     exchange acts on under the [tighten] opt-in;
 
    - a kernel that raised on probe data leaves the footprint
      inconclusive, reported as [Info] and ignored by every consumer. *)
@@ -116,8 +116,8 @@ let diff (loop : Descr.loop) (fp : Probe.t) =
                 (Printf.sprintf
                    "stencil point(s) %s never observed read (%d of %d \
                     declared points used): declared radius %d is wider \
-                    than the kernel's footprint — halo exchanges and tile \
-                    skew pay for the difference"
+                    than the kernel's footprint — halo exchanges pay for \
+                    the difference"
                    (slot_list pr ~keep:false) (points - unread) points extent)
             else if unread = points then
               add ~arg ~severity:Finding.Warning ~subject:af.Probe.af_name

@@ -175,11 +175,11 @@ let merge_worker_globals t states =
 
 (* ---- The runner ------------------------------------------------------ *)
 
-(* Box runner over caller-owned tables and staging buffers: the lazy-chain
-   tiled executor keeps both across slabs, so global accumulations follow
-   the eager traversal order, and merges globals once after the whole
-   chain.  [rows.(i)] is argument [i]'s base index at x = 0 of the current
-   row; the point's base is [rows.(i) + x * vcol]. *)
+(* Box runner over caller-owned tables and staging buffers: every backend
+   below runs one or more boxes through it (the whole range, a worker's
+   slab, a GPU tile) and merges globals itself afterwards.  [rows.(i)] is
+   argument [i]'s base index at x = 0 of the current row; the point's base
+   is [rows.(i) + x * vcol]. *)
 let run_range t buffers ~range ~kernel =
   let dats = t.dats and written = t.written and idxs = t.idxs in
   let nd = Array.length dats in

@@ -95,18 +95,6 @@ type handle = Facade.handle
 
 let make_handle = Facade.make_handle
 let par_loop = Facade.par_loop
-let set_lazy = Facade.set_lazy
-let lazy_mode = Facade.lazy_mode
-let tile_size = Facade.tile_size
-
-type tile_exec = Facade.tile_exec =
-  | Tiled of { tile : int }
-  | Tiled_par of { pool : Am_taskpool.Pool.t; tile : int }
-
-let set_tile_exec = Facade.set_tile_exec
-let tile_exec = Facade.tile_exec
-let pending = Facade.pending
-let flush = Facade.flush
 let set_infer = Facade.set_infer
 let infer_enabled = Facade.infer_enabled
 let set_tighten = Facade.set_tighten

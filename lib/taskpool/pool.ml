@@ -132,9 +132,10 @@ let run_on_all t body =
            Mutex.unlock t.mutex;
            dead)
   then
-    (* A job submitted after [shutdown] — e.g. an Obs flush hook forcing a
-       straggler lazy chain at process exit — runs caller-only: the worker
-       domains are gone, so queueing it would wait on [work_done] forever. *)
+    (* A job submitted after [shutdown] — e.g. a loop still run on the
+       pool's context after a driver's cleanup — runs caller-only: the
+       worker domains are gone, so queueing it would wait on [work_done]
+       forever. *)
     body ()
   else begin
     let telemetry = Am_obs.Obs.tracing () in

@@ -77,6 +77,16 @@ let test_shared_matches () =
       Ops.set_backend m.ctx (Ops.Shared { pool });
       check_matches "shared" (run_mini m 6))
 
+(* A Shared context whose pool was already shut down (a loop run after a
+   driver's cleanup) runs its jobs caller-only instead of deadlocking on
+   the departed workers, with the same results. *)
+let test_shared_after_shutdown () =
+  let pool = Pool.create ~size:3 () in
+  let m = build_mini () in
+  Ops.set_backend m.ctx (Ops.Shared { pool });
+  Pool.shutdown pool;
+  check_matches "shared after shutdown" (run_mini m 6)
+
 let test_cuda_global_matches () =
   let m = build_mini () in
   Ops.set_backend m.ctx
@@ -508,6 +518,8 @@ let () =
             test_dist_center_only_no_traffic;
           Alcotest.test_case "staggered dat" `Quick test_dist_staggered_dat;
           Alcotest.test_case "ghost-row BCs" `Quick test_dist_ghost_row_bc;
+          Alcotest.test_case "shared after pool shutdown" `Quick
+            test_shared_after_shutdown;
         ] );
       ( "reductions/args",
         [

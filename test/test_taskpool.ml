@@ -101,6 +101,22 @@ let test_nested_jobs_sequentially () =
           (round * 13) (Atomic.get count)
       done)
 
+(* Jobs submitted after [shutdown] run on the caller alone: the workers
+   are joined, so waiting on them would deadlock. *)
+let test_after_shutdown_caller_only () =
+  let pool = Pool.create ~size:3 () in
+  Pool.shutdown pool;
+  let caller = Domain.self () in
+  let hits = Array.make 50 0 and foreign = ref false in
+  Pool.parallel_for ~chunk:4 pool ~lo:0 ~hi:50 (fun lo hi ->
+      if Domain.self () <> caller then foreign := true;
+      for i = lo to hi - 1 do
+        hits.(i) <- hits.(i) + 1
+      done);
+  Alcotest.(check bool) "each index exactly once" true
+    (Array.for_all (fun h -> h = 1) hits);
+  Alcotest.(check bool) "ran on the caller only" false !foreign
+
 let test_shared_pool_singleton () =
   let a = Pool.shared () and b = Pool.shared () in
   Alcotest.(check bool) "same pool" true (a == b)
@@ -126,5 +142,7 @@ let () =
         [
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
           Alcotest.test_case "shared singleton" `Quick test_shared_pool_singleton;
+          Alcotest.test_case "jobs after shutdown run caller-only" `Quick
+            test_after_shutdown_caller_only;
         ] );
     ]
