@@ -314,8 +314,7 @@ let sanitizer_overhead () =
 (* Footprint-inference accounting: what the once-per-signature probing
    costs (signatures, probe kernel runs, seconds) against what the proven
    facts buy back — the Check backend's light mode (per-element guards
-   reduced to NaN checks on loops the probe proved exact) and the
-   distributed backends' tightened halo exchanges. *)
+   reduced to NaN checks on loops the probe proved exact). *)
 type analysis_row = {
   an_signatures : int;
   an_kernel_runs : int;
@@ -324,8 +323,6 @@ type analysis_row = {
   an_light_elements : int;
   an_check_light : Am_util.Regress.summary; (* Check, inference on *)
   an_check_full : Am_util.Regress.summary; (* Check, inference off *)
-  an_halo_depth_saved : int;
-  an_halo_exchanges_saved : int;
 }
 
 let analysis_accounting () =
@@ -353,15 +350,9 @@ let analysis_accounting () =
   let light = Am_airfoil.App.create mesh in
   Am_op2.Op2.set_backend light.Am_airfoil.App.ctx Am_op2.Op2.Check;
   let an_check_light = time light iters in
-  (* Tightened halos: a short distributed CloverLeaf run; the counters say
-     how many ghost rows and whole exchanges the observed extents removed
-     versus the declared stencils.  Runtime tightening is off by default
-     (sampled negatives are evidence, not proof), so the bench opts in
-     explicitly — CloverLeaf's kernels have data-independent footprints. *)
-  let depth0 = Am_obs.Counters.value Am_obs.Obs.halo_depth_saved in
-  let exch0 = Am_obs.Counters.value Am_obs.Obs.halo_exchanges_saved in
+  (* A short distributed CloverLeaf run adds the structured signatures to
+     the probing cost. *)
   let cl = Am_cloverleaf.App.create ~nx:96 ~ny:96 () in
-  Am_ops.Ops.set_tighten cl.Am_cloverleaf.App.ctx true;
   Am_ops.Ops.partition cl.Am_cloverleaf.App.ctx ~n_ranks:4 ~ref_ysize:96;
   for _ = 1 to 2 do
     ignore (Am_cloverleaf.App.hydro_step cl)
@@ -375,10 +366,6 @@ let analysis_accounting () =
       Am_obs.Counters.value Am_obs.Obs.check_light_elements - elems0;
     an_check_light;
     an_check_full;
-    an_halo_depth_saved =
-      Am_obs.Counters.value Am_obs.Obs.halo_depth_saved - depth0;
-    an_halo_exchanges_saved =
-      Am_obs.Counters.value Am_obs.Obs.halo_exchanges_saved - exch0;
   }
 
 let print_analysis a =
@@ -398,10 +385,7 @@ let print_analysis a =
        a.an_check_full.median /. a.an_check_light.median
      else 0.0)
     a.an_light_loops a.an_light_elements;
-  Printf.printf
-    "dist tightening (cloverleaf mpi, 2 steps): %d ghost row(s) and %d whole \
-     exchange(s) dropped\n\n%!"
-    a.an_halo_depth_saved a.an_halo_exchanges_saved
+  print_newline ()
 
 (* Attribution rows for the JSON dump's "doctor" section: a short traced
    Airfoil run (tracing also makes the facades sample per-loop GC deltas),
@@ -499,15 +483,13 @@ let write_json path estimates halo sanitizer analysis recovery doctor =
     "  \"analysis\": { \"infer_signatures\": %d, \"infer_kernel_runs\": %d, \
      \"infer_seconds\": %.9f, \"check_full_seconds\": %.9f, \
      \"check_light_seconds\": %.9f, \"check_seconds_saved\": %.9f, \
-     \"light_loops\": %d, \"light_elements\": %d, \
-     \"halo_depth_saved_rows\": %d, \"halo_exchanges_saved\": %d },\n"
+     \"light_loops\": %d, \"light_elements\": %d },\n"
     analysis.an_signatures analysis.an_kernel_runs analysis.an_infer_seconds
     analysis.an_check_full.Am_util.Regress.median
     analysis.an_check_light.Am_util.Regress.median
     (analysis.an_check_full.Am_util.Regress.median
     -. analysis.an_check_light.Am_util.Regress.median)
-    analysis.an_light_loops analysis.an_light_elements
-    analysis.an_halo_depth_saved analysis.an_halo_exchanges_saved;
+    analysis.an_light_loops analysis.an_light_elements;
   output_string oc "  \"obs\": {\n";
   Printf.fprintf oc
     "    \"plan_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f },\n"

@@ -81,3 +81,26 @@ let positive_int = int_conv ~expected:"a positive integer" (fun n -> n > 0)
 
 let positive_even_int =
   int_conv ~expected:"a positive even integer" (fun n -> n > 0 && n mod 2 = 0)
+
+(* A rank count the mesh cannot be split over — more ranks than cells on
+   a partitioned axis, or chunks thinner than the ghost depth — is a usage
+   error too.  Only the partitioner knows the ghost depth, so its two fit
+   rejections are the check: they become Cmdliner's command-line error exit
+   (124) with a message naming the flag.  Any other [Invalid_argument] from
+   the partition call is a program error and propagates unchanged. *)
+let rank_fit_failure reason =
+  Option.is_some
+    (Scanf.sscanf_opt reason "Ops dist: %d cells for %d ranks on axis %d%!"
+       (fun _ _ _ -> ()))
+  || Option.is_some
+       (Scanf.sscanf_opt reason
+          "Ops dist: axis %d chunk %d owns %d cells, fewer than the ghost depth %d%!"
+          (fun _ _ _ _ -> ()))
+
+let fit_ranks ~cmd ~ranks partition =
+  try partition ()
+  with Invalid_argument reason when rank_fit_failure reason ->
+    Printf.eprintf "%s: option '--ranks': %d ranks do not fit this mesh (%s)\n\
+                    Try '%s --help' for more information.\n%!"
+      cmd ranks reason cmd;
+    exit Cmdliner.Cmd.Exit.cli_error

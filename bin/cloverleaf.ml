@@ -20,6 +20,7 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
   Printf.printf "cloverleaf: %dx%d cells, %d steps, backend %s\n%!" nx ny steps backend;
   Fault_common.with_faults ~app:"cloverleaf" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
+  let partition f = Check_common.fit_ranks ~cmd:"cloverleaf" ~ranks f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -37,7 +38,7 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
         ~ny ()
     | "mpi" ->
       let t = App.create ~advection ~nx ~ny () in
-      Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny;
+      partition (fun () -> Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny);
       t
     | "mpi2d" ->
       let t = App.create ~advection ~nx ~ny () in
@@ -45,13 +46,14 @@ let run nx ny steps backend ranks overlap summary_every verify van_leer check
       let px = if px * (ranks / px) = ranks then px else 1 in
       let py = ranks / max 1 px in
       Printf.printf "grid decomposition: %dx%d ranks\n%!" px py;
-      Ops.partition_grid t.App.ctx ~px ~py ~ref_xsize:nx ~ref_ysize:ny;
+      partition (fun () ->
+          Ops.partition_grid t.App.ctx ~px ~py ~ref_xsize:nx ~ref_ysize:ny);
       t
     | "hybrid" ->
+      let t = App.create ~advection ~nx ~ny () in
+      partition (fun () -> Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny);
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
-      let t = App.create ~advection ~nx ~ny () in
-      Ops.partition t.App.ctx ~n_ranks:ranks ~ref_ysize:ny;
       Ops.set_rank_execution t.App.ctx (Ops.Rank_shared p);
       t
     | other -> failwith (Printf.sprintf "unknown backend %s" other)

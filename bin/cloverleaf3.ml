@@ -11,6 +11,7 @@ let run n steps backend ranks check analyze trace obs_json faults recover perf =
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"cloverleaf3" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
+  let partition f = Check_common.fit_ranks ~cmd:"cloverleaf3" ~ranks f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -26,18 +27,19 @@ let run n steps backend ranks check analyze trace obs_json faults recover perf =
     | "cuda" -> App.create ~backend:(Ops3.Cuda_sim { Am_ops.Exec.tile_x = 16; tile_y = 4; tile_z = 4; staged = true }) ~n ()
     | "mpi" ->
       let t = App.create ~n () in
-      Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n;
+      partition (fun () -> Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n);
       t
     | "pencil" ->
       let t = App.create ~n () in
-      Ops3.partition_pencil t.App.ctx ~py:2 ~pz:(max 1 (ranks / 2)) ~ref_ysize:n
-        ~ref_zsize:n;
+      partition (fun () ->
+          Ops3.partition_pencil t.App.ctx ~py:2 ~pz:(max 1 (ranks / 2)) ~ref_ysize:n
+            ~ref_zsize:n);
       t
     | "hybrid" ->
+      let t = App.create ~n () in
+      partition (fun () -> Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n);
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
-      let t = App.create ~n () in
-      Ops3.partition t.App.ctx ~n_ranks:ranks ~ref_zsize:n;
       Ops3.set_rank_execution t.App.ctx (Ops3.Rank_shared p);
       t
     | other -> failwith (Printf.sprintf "unknown backend %s" other)

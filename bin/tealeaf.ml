@@ -11,6 +11,7 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover per
   if trace <> None then Am_obs.Obs.set_tracing true;
   Fault_common.with_faults ~app:"tealeaf" ~faults ~recover @@ fun fc ~recovering ->
   let pool = ref None in
+  let partition f = Check_common.fit_ranks ~cmd:"tealeaf" ~ranks f in
   let t =
     match (if check then "check" else backend) with
     | "check" ->
@@ -26,13 +27,13 @@ let run n steps dt backend ranks check analyze trace obs_json faults recover per
     | "cuda" -> Tea.create ~backend:(Ops3.Cuda_sim { Am_ops.Exec.tile_x = 16; tile_y = 4; tile_z = 4; staged = true }) ~n ~dt ()
     | "mpi" ->
       let t = Tea.create ~n ~dt () in
-      Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n;
+      partition (fun () -> Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n);
       t
     | "hybrid" ->
+      let t = Tea.create ~n ~dt () in
+      partition (fun () -> Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n);
       let p = Am_taskpool.Pool.create () in
       pool := Some p;
-      let t = Tea.create ~n ~dt () in
-      Ops3.partition t.Tea.ctx ~n_ranks:ranks ~ref_zsize:n;
       Ops3.set_rank_execution t.Tea.ctx (Ops3.Rank_shared p);
       t
     | other -> failwith (Printf.sprintf "unknown backend %s" other)

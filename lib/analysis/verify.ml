@@ -15,8 +15,8 @@
    - a declared access that was *never observed* is only an
      over-declaration [Warning]: probing samples data-dependent branches,
      so absence is evidence, not proof.  The warning carries the
-     tightened footprint, which is also what the distributed halo
-     exchange acts on under the [tighten] opt-in;
+     tightened footprint as advice for the descriptor; no runtime layer
+     acts on it;
 
    - a kernel that raised on probe data leaves the footprint
      inconclusive, reported as [Info] and ignored by every consumer. *)

@@ -61,8 +61,6 @@ let check_elements = Counters.counter counters ~unit_:"elements" "check.elements
 let check_violations = Counters.counter counters "check.violations"
 let check_light_loops = Counters.counter counters "check.light_loops"
 let check_light_elements = Counters.counter counters ~unit_:"elements" "check.light_elements"
-let halo_depth_saved = Counters.counter counters ~unit_:"rows" "dist.halo_depth_saved"
-let halo_exchanges_saved = Counters.counter counters "dist.halo_exchanges_saved"
 let dpor_executions = Counters.counter counters "dpor.executions"
 let dpor_backtracks = Counters.counter counters "dpor.backtracks"
 let dpor_sleep_hits = Counters.counter counters "dpor.sleep_hits"

@@ -85,9 +85,7 @@ val check_violations : Counters.counter
     cumulative probing time, and significant findings the verifier derived
     from observed-vs-declared diffs.  The Check backend's light mode —
     loops whose footprint the static pass proved exact, run with the
-    per-element guards reduced to NaN checks — reports alongside, as do
-    the distributed backends' inference-tightened halo exchanges (rows of
-    depth saved versus the declared stencil extent). *)
+    per-element guards reduced to NaN checks — reports alongside. *)
 
 val infer_signatures : Counters.counter
 val infer_kernel_runs : Counters.counter
@@ -97,8 +95,6 @@ val infer_seconds : Counters.gauge
 val infer_findings : Counters.counter
 val check_light_loops : Counters.counter
 val check_light_elements : Counters.counter
-val halo_depth_saved : Counters.counter
-val halo_exchanges_saved : Counters.counter
 
 (** Schedule-exploration (bounded DPOR) activity: program executions run by
     the explorer, backtrack points taken, redundant schedules pruned by

@@ -489,8 +489,7 @@ let rank_compiled t ~key r args =
     Hashtbl.add t.rank_execs (key, r) c;
     c
 
-let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
-    ~name ~iter_set ~args ~kernel =
+let par_loop ~halo_seconds ~overlap_seconds t ~name ~iter_set ~args ~kernel =
   check_supported args;
   let exposed = ref 0.0 in
   let timed f x =
@@ -498,34 +497,9 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
     f x;
     exposed := !exposed +. (Unix.gettimeofday () -. t0)
   in
-  let all_read_dats =
+  let read_dats =
     distinct_dats args (fun map access ->
         map <> None && (access = Access.Read || access = Access.Rw))
-  in
-  (* Footprint inference (see [Op2.footprint]) marks indirectly-read
-     arguments the kernel was observed never to read; a dataset whose every
-     read argument carries the mark needs no fresh halo for this loop.
-     Phase classification is left untouched — it orders elements, it does
-     not move data. *)
-  let read_dats =
-    match unread with
-    | None -> all_read_dats
-    | Some u ->
-      let live = Hashtbl.create 4 in
-      List.iteri
-        (fun i arg ->
-          match arg with
-          | Arg_dat { dat; map = Some _; access = Access.Read | Access.Rw; _ }
-            when not (i < Array.length u && u.(i)) ->
-            Hashtbl.replace live dat.dat_id ()
-          | Arg_dat _ | Arg_gbl _ -> ())
-        args;
-      List.filter
-        (fun (d : dat) ->
-          let needed = Hashtbl.mem live d.dat_id in
-          if not needed then Obs_counters.incr Obs.halo_exchanges_saved;
-          needed)
-        all_read_dats
   in
   let inc_dats =
     distinct_dats args (fun map access -> map <> None && access = Access.Inc)
@@ -546,6 +520,7 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
     List.iter (timed (zero_halo t)) inc_dats;
     for r = 0 to t.n_ranks - 1 do
       let resolvers = rank_resolvers t r in
+      let compiled = Exec_common.compile ~resolvers args in
       let rank_plan ~block_size =
         let key = (Plan.signature ~name ~iter_set ~block_size args, r) in
         match Hashtbl.find_opt t.rank_plans key with
@@ -563,13 +538,13 @@ let par_loop ?unread ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t
           plan
       in
       match t.rank_exec with
-      | Rank_seq -> Exec_seq.run ~resolvers ~set_size:sd.n_owned.(r) ~args ~kernel ()
+      | Rank_seq -> Exec_seq.run compiled ~set_size:sd.n_owned.(r) ~kernel
       | Rank_shared { pool; block_size } ->
-        Exec_shared.run ~resolvers pool (rank_plan ~block_size)
-          ~set_size:sd.n_owned.(r) ~args ~kernel
+        Exec_shared.run compiled pool (rank_plan ~block_size) ~set_size:sd.n_owned.(r)
+          ~kernel
       | Rank_vec config ->
-        Exec_vec.run ~resolvers config (rank_plan ~block_size:256)
-          ~set_size:sd.n_owned.(r) ~args ~kernel
+        Exec_vec.run compiled config (rank_plan ~block_size:256)
+          ~set_size:sd.n_owned.(r) ~kernel
     done
   end
   else begin

@@ -197,17 +197,9 @@ let staged_exec (compiled : Exec_common.t) args stages ~lo ~hi =
 
 (* ---- Entry point ---------------------------------------------------- *)
 
-let run ?compiled config plan ~set_size ~args ~kernel =
-  ignore set_size;
-  (* SoA conversion must happen before compiling: it replaces [dat.data].
-     A caller-supplied executor is only valid if it was compiled after
-     [ensure_soa] (the handle path in [Op2] guarantees this). *)
-  if config.strategy = Global_soa then ensure_soa args;
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile args
-  in
+(* Under [Global_soa], [compiled] must have been compiled after [ensure_soa]
+   (SoA conversion replaces [dat.data]); [Op2] converts before resolving. *)
+let run compiled config plan ~args ~kernel =
   let has_globals = Exec_common.has_globals compiled in
   let blocks = plan.Plan.blocks in
   let traced = Am_obs.Obs.tracing () in

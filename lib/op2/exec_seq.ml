@@ -6,14 +6,9 @@
    human-readable debugging target the source-to-source generator also
    emits. *)
 
-(* [?compiled] lets a loop handle supply a cached executor (see [Plan]);
-   without one the arguments are compiled on the spot. *)
-let run ?resolvers ?compiled ~set_size ~args ~kernel () =
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile ?resolvers args
-  in
+(* [compiled] comes from the plan cache (see [Plan]) or, on a rank, from the
+   distributed runtime's rank-local compile. *)
+let run compiled ~set_size ~kernel =
   let buffers = Exec_common.make_buffers compiled in
   Exec_common.run_range compiled buffers kernel ~lo:0 ~hi:set_size;
   if Exec_common.has_globals compiled then

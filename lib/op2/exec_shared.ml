@@ -14,12 +14,7 @@
 
 module Coloring = Am_mesh.Coloring
 
-let run ?resolvers ?compiled pool plan ~set_size ~args ~kernel =
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile ?resolvers args
-  in
+let run compiled pool plan ~set_size ~kernel =
   let has_globals = Exec_common.has_globals compiled in
   if not (Plan.has_conflicts plan) then begin
     let states =

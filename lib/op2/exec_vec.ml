@@ -26,13 +26,8 @@ type config = { width : int }
 
 let default_config = { width = 8 }
 
-let run ?resolvers ?compiled config plan ~set_size ~args ~kernel =
+let run compiled config plan ~set_size ~kernel =
   let width = max 1 config.width in
-  let compiled =
-    match compiled with
-    | Some c -> c
-    | None -> Exec_common.compile ?resolvers args
-  in
   (* Per-lane staging buffers (and per-lane global accumulators). *)
   let lanes = Array.init width (fun _ -> Exec_common.make_buffers compiled) in
   let run_pack elems lo hi =

@@ -227,8 +227,9 @@ val fault_injector : ctx -> Am_simmpi.Fault.t option
 
 (** {1 The parallel loop} *)
 
-(** Per-call-site loop handle: caches the resolved execution plan and the
-    compiled argument tables for a [par_loop] site, so repeated
+(** Per-call-site loop handle: caches the resolved execution plan, the
+    compiled argument tables and the kernel footprint for a [par_loop]
+    site, so repeated
     invocations skip the signature-string cache lookup entirely (validity is
     re-checked with pointer compares every call, and the handle re-resolves
     itself after renumbering, layout conversion or dataset updates).
@@ -239,10 +240,13 @@ type handle = Plan.handle
 val make_handle : unit -> handle
 
 (** [par_loop ctx ~name ?info ?handle iter_set args kernel] validates
-    [args], records trace/profile entries, and executes [kernel] over every
-    element of [iter_set] on the context's backend. [info] declares the
-    kernel's per-element flop/transcendental counts for the performance
-    model; [handle] memoises plan + executor resolution for the call site. *)
+    [args] and executes [kernel] over every element of [iter_set] on the
+    context's backend, inside the loop front end OP2 shares with the OPS
+    facades ([Am_front.Front]: trace and profile records, fault loop count,
+    footprint, checkpoint step). [info] declares the kernel's per-element
+    flop/transcendental counts for the performance model; [handle] memoises
+    plan, executor and footprint resolution for the call site (without
+    one, the plan cache is searched by signature string). *)
 val par_loop :
   ctx ->
   name:string ->
@@ -259,20 +263,13 @@ val par_loop :
     over sentinel-filled staging buffers before its first execution, and the
     observed footprint is compared against the declared descriptor by
     {!Am_analysis.Verify}.  Clean footprints let the Check backend skip the
-    bitwise Read snapshot compares the probes already covered.  Dropping
-    halo exchanges for indirectly-read datasets the probes never saw the
-    kernel read is an explicit opt-in via [set_tighten] (off by default):
-    never-observed is a sampled negative, and a data-dependent read the
-    probes missed would otherwise consume stale ghost elements silently. *)
+    bitwise Read snapshot compares the probes already covered.  No halo
+    exchange is ever dropped on the strength of a footprint: never-observed
+    is a sampled negative, and a data-dependent read the probes missed
+    would consume stale ghost elements silently. *)
 
 val set_infer : ctx -> bool -> unit
 val infer_enabled : ctx -> bool
-
-(** Opt in to dropping ghost exchanges for datasets whose reads probing
-    never observed.  Off by default; see the caveat above. *)
-val set_tighten : ctx -> bool -> unit
-
-val tighten_enabled : ctx -> bool
 val footprints : ctx -> Am_core.Probe.info list
 
 (** {1 Diagnostics} *)

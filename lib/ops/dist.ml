@@ -250,8 +250,7 @@ let exchange ?depth t dat =
 
 (* ---- Loop execution --------------------------------------------------- *)
 
-let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~range
-    ~args ~kernel =
+let par_loop ~halo_seconds ~overlap_seconds t ~range ~args ~kernel =
   (* Grid-transfer strides cross the decomposition arbitrarily:
      unsupported on partitioned contexts (multigrid levels would need a
      proportional decomposition). *)
@@ -262,30 +261,16 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
                      partitioned contexts"
       | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
-  (* Ghost exchanges for stencil-read datasets (deduplicated per dataset).
-     When footprint inference proved the kernel's read extent shallower
-     than its declared stencil ([ext], -1 where no proof), the exchange
-     depth — and the overlap margin downstream — shrink to the observed
-     extent; depth 0 drops the exchange altogether. *)
+  (* Ghost exchanges for stencil-read datasets (deduplicated per dataset),
+     as deep as the deepest declared stencil of this loop on the dataset. *)
   let seen = Hashtbl.create 4 in
-  List.iteri
-    (fun i arg ->
-      match arg with
+  List.iter
+    (function
       | Arg_dat { dat; stencil; access; _ }
         when Access.reads access && stencil_extent stencil > 0 ->
-        (* Deepest stencil of this loop on this dataset decides the depth. *)
-        let declared = stencil_extent stencil in
-        let need =
-          match ext with
-          | Some e when i < Array.length e && e.(i) >= 0 && e.(i) < declared ->
-            Obs_counters.add Obs.halo_depth_saved (declared - e.(i));
-            e.(i)
-          | Some _ | None -> declared
-        in
-        if need > 0 then begin
-          let prev = try Hashtbl.find seen dat.dat_id with Not_found -> 0 in
-          if need > prev then Hashtbl.replace seen dat.dat_id need
-        end
+        let need = stencil_extent stencil in
+        let prev = try Hashtbl.find seen dat.dat_id with Not_found -> 0 in
+        if need > prev then Hashtbl.replace seen dat.dat_id need
       | Arg_dat _ | Arg_gbl _ | Arg_idx _ -> ())
     args;
   let needs =
@@ -304,13 +289,14 @@ let par_loop ?ext ?(halo_seconds = ref 0.0) ?(overlap_seconds = ref 0.0) t ~rang
   in
   let run_box r box =
     if nonempty box then begin
-      let resolvers =
-        { Exec.resolve_dat = (fun d -> (dat_dist t d).windows.(r).view) }
+      let compiled =
+        Exec.compile
+          ~resolvers:{ Exec.resolve_dat = (fun d -> (dat_dist t d).windows.(r).view) }
+          args
       in
       match t.rank_exec with
-      | Rank_seq -> Exec.run_seq ~resolvers ~range:box ~args ~kernel ()
-      | Rank_shared pool ->
-        Exec.run_shared ~resolvers ~axis:(t.ndim - 1) pool ~range:box ~args ~kernel
+      | Rank_seq -> Exec.run_seq compiled ~range:box ~kernel
+      | Rank_shared pool -> Exec.run_shared compiled ~axis:(t.ndim - 1) pool ~range:box ~kernel
     end
   in
   (* A global Inc reduction is summed in iteration order: splitting the

@@ -250,10 +250,7 @@ let run_range t buffers ~range ~kernel =
 
 (* ---- Sequential ----------------------------------------------------- *)
 
-let run_seq ?resolvers ?compiled ~range ~args ~kernel () =
-  let compiled =
-    match compiled with Some c -> c | None -> compile ?resolvers args
-  in
+let run_seq compiled ~range ~kernel =
   let buffers = make_buffers compiled in
   run_range compiled buffers ~range ~kernel;
   if has_globals compiled then merge_globals compiled buffers
@@ -262,10 +259,7 @@ let run_seq ?resolvers ?compiled ~range ~args ~kernel () =
 
 (* The outermost used [axis] (rows in 2D, planes in 3D) is split across the
    pool, with pooled worker-local buffers and a reduction-tree merge. *)
-let run_shared ?resolvers ?compiled ~axis pool ~range ~args ~kernel =
-  let compiled =
-    match compiled with Some c -> c | None -> compile ?resolvers args
-  in
+let run_shared compiled ~axis pool ~range ~kernel =
   let states =
     Am_taskpool.Pool.parallel_for_local pool ~lo:(range_lo range axis)
       ~hi:(range_hi range axis)
@@ -350,10 +344,7 @@ let run_tile t buffers kernel args tile =
           done))
     t.written
 
-let run_cuda ?compiled config ~range ~args ~kernel =
-  let compiled =
-    match compiled with Some c -> c | None -> compile args
-  in
+let run_cuda compiled config ~range ~args ~kernel =
   let buffers = make_buffers compiled in
   let tiles lo hi t = (hi - lo + t - 1) / t in
   for tz = 0 to tiles range.zlo range.zhi config.tile_z - 1 do

@@ -2,10 +2,11 @@
 
    [Ops], [Ops1] and [Ops3] are typed shims over this module: they convert
    their ranges, stencils, index callbacks and mirror options to the
-   three-axis forms of [Types] and call in here.  Everything a context does
-   lives here once — backend dispatch, the distributed runtime, kernel
-   footprint inference, GC sampling, boundary mirrors and automatic
-   checkpointing.
+   three-axis forms of [Types] and call in here.  Everything an OPS context
+   does lives here once — validation, backend dispatch, the distributed
+   runtime, boundary mirrors and the checkpoint snapshot accessors — and
+   every loop runs inside [Am_front.Front], the loop front end shared with
+   OP2 (trace, profile, fault injector, footprints, checkpoint session).
 
    As with OP2, the backend is a property of the context: sequential,
    shared-memory (the outermost axis across the domain pool), the tiled GPU
@@ -14,9 +15,8 @@
 
 module Access = Am_core.Access
 module Descr = Am_core.Descr
+module Front = Am_front.Front
 module Probe = Am_core.Probe
-module Profile = Am_core.Profile
-module Trace = Am_core.Trace
 open Types
 
 type backend =
@@ -27,55 +27,40 @@ type backend =
 
 (* Per-call-site loop handle: caches the compiled argument tables (data
    arrays and stencil offsets, see [Exec]) so repeated invocations skip
-   argument compilation.  Freshness is a handful of pointer compares per
-   call; a changed dataset array, stencil or access recompiles. *)
-type handle = { mutable h_exec : Exec.t option }
+   argument compilation, and the kernel footprint while those tables stay
+   fresh.  Freshness is a handful of pointer compares per call; a changed
+   dataset array, stencil or access recompiles. *)
+type handle = { mutable h_exec : Exec.t option; h_foot : Front.slot }
 
-let make_handle () = { h_exec = None }
+let make_handle () = { h_exec = None; h_foot = Front.slot () }
 
 type ctx = {
   ndim : int;
   env : env;
   mutable backend : backend;
-  profile : Profile.t;
-  trace : Trace.t;
   mutable dist : Dist.t option;
-  mutable checkpoint : Am_checkpoint.Runtime.session option;
-  mutable fault : Am_simmpi.Fault.t option;
-  (* Kernel footprint inference (once per loop signature). *)
-  mutable infer : bool;
-  (* Spend sampled never-observed-read facts on runtime tightening (halo
-     depth / exchange drops).  Off by default: absence under sampling is
-     evidence, not proof, so acting on it is an explicit opt-in (see
-     DESIGN.md 5j). *)
-  mutable tighten : bool;
-  foot_tbl : (string, Probe.info) Hashtbl.t;
+  front : Front.t;
 }
 
 (* "Ops", "Ops1" or "Ops3", for error messages. *)
-let facade ctx = String.capitalize_ascii (facade_name ctx.ndim)
+let facade ctx = ctx.front.Front.facade
 
 let create ~ndim ?(backend = Seq) () =
   {
     ndim;
     env = make_env ();
     backend;
-    profile = Profile.create ();
-    trace = Trace.create ();
     dist = None;
-    checkpoint = None;
-    fault = None;
-    infer = true;
-    tighten = false;
-    foot_tbl = Hashtbl.create 32;
+    front = Front.create ~facade:(String.capitalize_ascii (facade_name ndim));
   }
 
 (* ---- Kernel footprint inference ----------------------------------------- *)
 
 (* Observed Chebyshev read extent per argument, computed against the real
    stencil offsets (which [Descr] does not keep): the widest offset whose
-   point was observed read on some probe.  [-1] marks "no tightening" —
-   not a stencil read, or a footprint the consumers must not act on. *)
+   point was observed read on some probe, for [Dataflow]'s report-only
+   Redundant-exchange warnings.  [-1] marks "no information" — not a
+   stencil read, or a footprint the report must not act on. *)
 let observed_exts args (fp : Probe.t) =
   let usable = Probe.clean fp in
   Array.of_list
@@ -125,63 +110,27 @@ let idx_flags args =
   Array.of_list
     (List.map (function Arg_idx _ -> true | Arg_dat _ | Arg_gbl _ -> false) args)
 
-(* Probe on first sight of a loop signature, then serve the cached
-   observation: the kernel is a pure function of its staging buffers, so
-   one inference per (name, argument structure) covers every later call. *)
-let footprint ctx (descr : Descr.loop) args kernel =
-  if not ctx.infer then None
-  else begin
-    let key = Probe.signature ~salt:(stencil_salt args) descr in
-    match Hashtbl.find_opt ctx.foot_tbl key with
-    | Some fi ->
-      Am_obs.Counters.incr Am_obs.Obs.infer_hits;
-      Some fi
-    | None ->
-      Am_obs.Counters.incr Am_obs.Obs.infer_misses;
-      let fp = Probe.infer ~idx:(idx_flags args) ~loop:descr ~kernel () in
-      let fi =
-        { Probe.in_loop = descr; in_foot = fp; in_read_ext = observed_exts args fp }
-      in
-      Hashtbl.add ctx.foot_tbl key fi;
-      Some fi
-  end
-
-(* The sanitizer drops to light mode (NaN checks only) exactly when the
-   static pass proved the declaration: a loop whose footprint was caught
-   violating keeps the full per-element guards, so the pinned dynamic
-   violation is still raised. *)
-let light_of = function
-  | Some fi -> Probe.clean fi.Probe.in_foot
-  | None -> false
-
-let set_infer ctx enabled = ctx.infer <- enabled
-let infer_enabled ctx = ctx.infer
-let set_tighten ctx enabled = ctx.tighten <- enabled
-let tighten_enabled ctx = ctx.tighten
-
-(* Every footprint this context has inferred, for the analysis layer
-   ([Verify.check], halo-schedule tightening). *)
-let footprints ctx =
-  Hashtbl.fold (fun _ fi acc -> fi :: acc) ctx.foot_tbl []
-  |> List.sort (fun a b ->
-         compare a.Probe.in_loop.Descr.loop_name b.Probe.in_loop.Descr.loop_name)
+let set_infer ctx = Front.set_infer ctx.front
+let infer_enabled ctx = Front.infer_enabled ctx.front
+let footprints ctx = Front.footprints ctx.front
 
 (* ---- Backend and compiled-argument cache -------------------------------- *)
 
-let now () = Unix.gettimeofday ()
+(* The handle's executor, while it still matches the live arguments. *)
+let live_exec handle args =
+  match handle with
+  | Some { h_exec = Some c; _ } when Exec.compiled_matches c args -> Some c
+  | Some _ | None -> None
 
-let resolve_compiled handle args =
-  match handle.h_exec with
-  | Some c when Exec.compiled_matches c args ->
-    Am_obs.Counters.incr Am_obs.Obs.exec_hits;
-    c
-  | Some _ | None ->
-    Am_obs.Counters.incr Am_obs.Obs.exec_misses;
-    let c =
-      Am_obs.Obs.span ~cat:Am_obs.Tracer.Plan "compile" (fun () -> Exec.compile args)
-    in
-    handle.h_exec <- Some c;
-    c
+(* Compile for a handle that missed: the new tables start a new footprint. *)
+let recompile handle args =
+  Am_obs.Counters.incr Am_obs.Obs.exec_misses;
+  let c =
+    Am_obs.Obs.span ~cat:Am_obs.Tracer.Plan "compile" (fun () -> Exec.compile args)
+  in
+  handle.h_exec <- Some c;
+  handle.h_foot.foot <- None;
+  c
 
 let set_backend ctx backend =
   (match (backend, ctx.dist) with
@@ -192,10 +141,8 @@ let set_backend ctx backend =
   ctx.backend <- backend
 
 let backend ctx = ctx.backend
-
-let profile ctx = ctx.profile
-
-let trace ctx = ctx.trace
+let profile ctx = ctx.front.Front.profile
+let trace ctx = ctx.front.Front.trace
 
 (* ---- Declarations and arguments ----------------------------------------- *)
 
@@ -265,15 +212,9 @@ let init ctx dat f =
 
 (* ---- Partitioning -------------------------------------------------------- *)
 
-let dist_comm ctx = Option.map (fun d -> d.Dist.comm) ctx.dist
-
-(* Route the distributed runtime's messages through the fault injector's
-   reliable transport; a loop-counter crash trigger fires on any backend. *)
-let set_fault_injector ctx f =
-  ctx.fault <- Some f;
-  Option.iter (fun comm -> Am_simmpi.Comm.attach_fault comm f) (dist_comm ctx)
-
-let fault_injector ctx = ctx.fault
+let set_fault_injector ctx =
+  Front.set_fault_injector ctx.front ?comm:(Option.map (fun d -> d.Dist.comm) ctx.dist)
+let fault_injector ctx = Front.fault_injector ctx.front
 
 (* Cartesian decomposition over [procs.(a)] ranks per axis of the
    reference space [refs]; staggered datasets give their extra cells to
@@ -285,10 +226,9 @@ let partition ctx ~procs ~refs =
   | Seq -> ()
   | Shared _ | Cuda_sim _ | Check ->
     invalid_arg (facade ctx ^ ".partition: switch the backend to Seq before partitioning"));
-  ctx.dist <- Some (Dist.build ctx.env ~ndim:ctx.ndim ~procs ~refs);
-  match (ctx.fault, dist_comm ctx) with
-  | Some f, Some comm -> Am_simmpi.Comm.attach_fault comm f
-  | _ -> ()
+  let d = Dist.build ctx.env ~ndim:ctx.ndim ~procs ~refs in
+  Front.attach_fault ctx.front d.Dist.comm;
+  ctx.dist <- Some d
 
 let partitioned ctx what =
   match ctx.dist with
@@ -319,7 +259,7 @@ let set_comm_mode ctx mode =
 let comm_mode ctx =
   match ctx.dist with Some d when d.Dist.overlap -> Overlap | Some _ | None -> Blocking
 
-let comm_stats ctx = Option.map Am_simmpi.Comm.stats (dist_comm ctx)
+let comm_stats ctx = Option.map (fun d -> Am_simmpi.Comm.stats d.Dist.comm) ctx.dist
 
 (* ---- Multi-block halos ---------------------------------------------------- *)
 
@@ -342,57 +282,44 @@ let par_loop ctx ~name ?(info = Descr.default_kernel_info) ?handle block range a
     kernel =
   validate_args ~block ~range args;
   let descr = describe ~name ~block ~range ~info args in
-  Trace.record ctx.trace descr;
-  (* The injected rank crash counts parallel loops on the injector itself,
-     so the trigger position survives a recovery restart's fresh context. *)
-  Option.iter Am_simmpi.Fault.note_loop ctx.fault;
-  let foot = footprint ctx descr args kernel in
-  let t0 = now () in
-  let traced = Am_obs.Obs.tracing () in
-  let gc0 = Profile.gc_sample () in
-  if traced then Am_obs.Obs.begin_span ~cat:Am_obs.Tracer.Loop name;
-  let halo_seconds = ref 0.0 and overlap_seconds = ref 0.0 in
-  let execute () =
-    match ctx.dist with
-    | Some d ->
-      (* Halo tightening from sampled negatives is the explicit opt-in: a
-         read the probes never triggered would otherwise silently consume
-         stale ghost layers. *)
-      let ext =
-        if ctx.tighten then Option.map (fun fi -> fi.Probe.in_read_ext) foot else None
-      in
-      Dist.par_loop ?ext ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
-    | None -> (
-      let compiled = Option.map (fun h -> resolve_compiled h args) handle in
-      match ctx.backend with
-      | Seq -> Exec.run_seq ?compiled ~range ~args ~kernel ()
-      | Shared { pool } ->
-        Exec.run_shared ?compiled ~axis:(ctx.ndim - 1) pool ~range ~args ~kernel
-      | Cuda_sim config -> Exec.run_cuda ?compiled config ~range ~args ~kernel
-      | Check ->
-        Exec_check.run ~light:(light_of foot) ~ndim:ctx.ndim ~name ~range ~args ~kernel
-          ())
+  let live = live_exec handle args in
+  let slot =
+    match (live, handle) with Some _, Some h -> Some h.h_foot | (None | Some _), _ -> None
   in
-  (match ctx.checkpoint with
-  | None -> execute ()
-  | Some session ->
-    let gbl_out =
-      List.filter_map
-        (function
-          | Arg_gbl { buf; access; _ } when access <> Access.Read -> Some buf
-          | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> None)
-        args
-    in
-    Am_checkpoint.Runtime.step ~gbl_out session ~descr ~run:execute);
-  if traced then Am_obs.Obs.end_span ();
-  let seconds = now () -. t0 in
-  Profile.record_gc ctx.profile ~name gc0;
-  Profile.record ctx.profile ~name ~seconds ~bytes:(Descr.total_bytes descr)
-    ~elements:(range_size range);
-  if ctx.dist <> None then
-    Profile.record_halo ctx.profile ~name ~overlapped:!overlap_seconds
-      ~seconds:!halo_seconds ()
-
+  let infer () =
+    let fp = Probe.infer ~idx:(idx_flags args) ~loop:descr ~kernel () in
+    { Probe.in_loop = descr; in_foot = fp; in_read_ext = observed_exts args fp }
+  in
+  let gbl_out () =
+    List.filter_map
+      (function
+        | Arg_gbl { buf; access; _ } when access <> Access.Read -> Some buf
+        | Arg_gbl _ | Arg_dat _ | Arg_idx _ -> None)
+      args
+  in
+  Front.run ctx.front ?slot ~salt:(fun () -> stencil_salt args) ~infer ~gbl_out
+    ~partitioned:(ctx.dist <> None) descr
+    (fun foot ~halo_seconds ~overlap_seconds ->
+      (* One resolution path: the handle's live tables, else a compile. *)
+      let compiled () =
+        match (live, handle) with
+        | Some c, _ ->
+          Am_obs.Counters.incr Am_obs.Obs.exec_hits;
+          c
+        | None, Some h -> recompile h args
+        | None, None -> Exec.compile args
+      in
+      match ctx.dist with
+      | Some d -> Dist.par_loop ~halo_seconds ~overlap_seconds d ~range ~args ~kernel
+      | None -> (
+        match ctx.backend with
+        | Seq -> Exec.run_seq (compiled ()) ~range ~kernel
+        | Shared { pool } ->
+          Exec.run_shared (compiled ()) ~axis:(ctx.ndim - 1) pool ~range ~kernel
+        | Cuda_sim config -> Exec.run_cuda (compiled ()) config ~range ~args ~kernel
+        | Check ->
+          Exec_check.run ~light:(Front.light foot) ~ndim:ctx.ndim ~name ~range ~args
+            ~kernel ()))
 
 (* ---- Physical boundary conditions (update_halo) --------------------------- *)
 
@@ -436,23 +363,11 @@ let checkpoint_fns ctx =
   }
 
 let enable_checkpointing ctx =
-  if ctx.checkpoint = None then
-    ctx.checkpoint <- Some (Am_checkpoint.Runtime.create ~fns:(checkpoint_fns ctx))
+  Front.enable_checkpointing ctx.front ~fns:(checkpoint_fns ctx)
 
-let live_session ctx what =
-  match ctx.checkpoint with
-  | Some session -> session
-  | None ->
-    invalid_arg (Printf.sprintf "%s.%s: checkpointing not enabled" (facade ctx) what)
-
-let request_checkpoint ctx =
-  Am_checkpoint.Runtime.request_checkpoint (live_session ctx "request_checkpoint")
-
-let checkpoint_session ctx = ctx.checkpoint
-
-let checkpoint_to_file ctx ~path =
-  Am_checkpoint.Runtime.save_to_file (live_session ctx "checkpoint_to_file") ~path
+let request_checkpoint ctx = Front.request_checkpoint ctx.front
+let checkpoint_session ctx = Front.checkpoint_session ctx.front
+let checkpoint_to_file ctx = Front.checkpoint_to_file ctx.front
 
 let recover_from_file ctx ~path =
-  ctx.checkpoint <-
-    Some (Am_checkpoint.Runtime.recover_from_file ~path ~fns:(checkpoint_fns ctx))
+  Front.recover_from_file ctx.front ~fns:(checkpoint_fns ctx) ~path

@@ -224,9 +224,10 @@ val mirror_halo :
 (** {1 The parallel loop} *)
 
 (** Per-call-site loop handle. A handle caches the compiled executor
-    (per-argument data arrays and stencil offset tables) for one
-    [par_loop] call site, so repeated invocations with the same arguments
-    skip argument compilation. Freshness is re-checked on every call with
+    (per-argument data arrays and stencil offset tables) and the kernel
+    footprint for one [par_loop] call site, so repeated invocations with
+    the same arguments skip argument compilation and the footprint-table
+    lookup. Freshness is re-checked on every call with
     a few pointer compares; a changed dataset array, stencil, access or
     stride recompiles transparently. Handles are inert on partitioned
     contexts (the distributed backends resolve per-rank windows). *)
@@ -235,9 +236,10 @@ type handle
 val make_handle : unit -> handle
 
 (** [par_loop ctx ~name ?info ?handle block range args kernel] validates
-    stencils against the range and ghost depth, records trace/profile
-    entries, and executes [kernel] at every point of [range] on the
-    context's backend. *)
+    stencils against the range and ghost depth and executes [kernel] at
+    every point of [range] on the context's backend, inside the loop front
+    end all facades share ([Am_front.Front]: trace and profile records,
+    fault loop count, footprint, checkpoint step). *)
 val par_loop :
   ctx ->
   name:string ->
@@ -260,23 +262,14 @@ val par_loop :
 
     Sampled negatives — reads merely never observed across the probe
     vectors — are evidence, not proof: a data-dependent branch the probes
-    never triggered could still read further.  Acting on them at runtime
-    (shrinking distributed ghost exchanges to the observed read extent) is
-    therefore an explicit opt-in via [set_tighten], off by default.  With
-    tightening off those facts remain report-only: {!Am_analysis.Dataflow}
-    still prints the exchanges the observations say the declared stencils
-    waste, so the fix is to tighten the descriptor, not the runtime. *)
+    never triggered could still read further.  The runtime never acts on
+    them: distributed ghost exchanges always follow the declared stencils.
+    They are report-only: {!Am_analysis.Dataflow} prints the exchanges the
+    observations say the declared stencils waste, so the fix is to tighten
+    the descriptor, not the runtime. *)
 
 val set_infer : ctx -> bool -> unit
 val infer_enabled : ctx -> bool
-
-(** Opt in to runtime tightening from sampled never-observed-read facts:
-    shrunken halo depths and dropped exchanges.  Off by
-    default — enable only when the kernels' footprints are known to be
-    data-independent (no limiter-style branches that widen reads). *)
-val set_tighten : ctx -> bool -> unit
-
-val tighten_enabled : ctx -> bool
 val footprints : ctx -> Am_core.Probe.info list
 
 (** {1 Automatic checkpointing}

@@ -85,8 +85,6 @@ let par_loop ctx ~name ?info ?handle block range args kernel =
 
 let set_infer = Facade.set_infer
 let infer_enabled = Facade.infer_enabled
-let set_tighten = Facade.set_tighten
-let tighten_enabled = Facade.tighten_enabled
 let footprints = Facade.footprints
 let enable_checkpointing = Facade.enable_checkpointing
 let request_checkpoint = Facade.request_checkpoint

@@ -141,7 +141,7 @@ val mirror_halo : ctx -> ?depth:int -> ?sign:float -> ?center:centering -> dat -
 
 (** {1 The parallel loop} *)
 
-(** Per-call-site executor handle, as in {!Ops.make_handle}. *)
+(** Per-call-site executor and footprint handle, as in {!Ops.make_handle}. *)
 type handle
 
 val make_handle : unit -> handle
@@ -159,18 +159,11 @@ val par_loop :
 
 (** Kernel footprint inference (see {!Ops}): on by default, once per loop
     signature; observed facts lighten the Check backend and feed
-    {!Am_analysis.Verify} via [footprints].  Runtime halo tightening
-    from sampled negatives is opt-in ([set_tighten]). *)
+    {!Am_analysis.Verify} via [footprints]; ghost exchanges always follow
+    the declared stencils. *)
 
 val set_infer : ctx -> bool -> unit
 val infer_enabled : ctx -> bool
-
-(** Opt in to runtime tightening from sampled never-observed-read facts
-    (shrunken halo depths, dropped exchanges).  Off by default; see
-    {!Ops.set_tighten} for the soundness caveat. *)
-val set_tighten : ctx -> bool -> unit
-
-val tighten_enabled : ctx -> bool
 val footprints : ctx -> Am_core.Probe.info list
 
 (** {1 Automatic checkpointing}

@@ -97,8 +97,6 @@ let make_handle = Facade.make_handle
 let par_loop = Facade.par_loop
 let set_infer = Facade.set_infer
 let infer_enabled = Facade.infer_enabled
-let set_tighten = Facade.set_tighten
-let tighten_enabled = Facade.tighten_enabled
 let footprints = Facade.footprints
 let enable_checkpointing = Facade.enable_checkpointing
 let request_checkpoint = Facade.request_checkpoint

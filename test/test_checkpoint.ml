@@ -360,6 +360,43 @@ let test_dpor_crash_restart_exhausted () =
   if Sched_util.am_sched = None && r.Schedcheck.rp_executions <= 1 then
     Alcotest.fail "crash scenario offered no delivery decisions to explore"
 
+(* ---- facade misuse ------------------------------------------------------ *)
+
+(* Before [enable_checkpointing] there is no session: requesting or saving a
+   checkpoint on any facade raises [Invalid_argument] naming the facade and
+   the call, never a silent no-op. *)
+let test_facade_misuse () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "am_misuse.snap" in
+  let expect facade call f =
+    let what = facade ^ "." ^ call in
+    match f () with
+    | () -> Alcotest.failf "%s before enable_checkpointing did not raise" what
+    | exception Invalid_argument msg ->
+      if not (Str_contains.contains msg what) then
+        Alcotest.failf "%s raised %S, which does not name the call" what msg
+  in
+  let facade name ~request ~save =
+    expect name "request_checkpoint" request;
+    expect name "checkpoint_to_file" (fun () -> save ~path)
+  in
+  let op2 = Am_op2.Op2.create () in
+  facade "Op2"
+    ~request:(fun () -> Am_op2.Op2.request_checkpoint op2)
+    ~save:(Am_op2.Op2.checkpoint_to_file op2);
+  let ops1 = Am_ops.Ops1.create () in
+  facade "Ops1"
+    ~request:(fun () -> Am_ops.Ops1.request_checkpoint ops1)
+    ~save:(Am_ops.Ops1.checkpoint_to_file ops1);
+  let ops = Am_ops.Ops.create () in
+  facade "Ops"
+    ~request:(fun () -> Am_ops.Ops.request_checkpoint ops)
+    ~save:(Am_ops.Ops.checkpoint_to_file ops);
+  let ops3 = Am_ops.Ops3.create () in
+  facade "Ops3"
+    ~request:(fun () -> Am_ops.Ops3.request_checkpoint ops3)
+    ~save:(Am_ops.Ops3.checkpoint_to_file ops3);
+  Alcotest.(check bool) "no snapshot file written" false (Sys.file_exists path)
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -399,5 +436,10 @@ let () =
         [
           Alcotest.test_case "crash/restart schedules exhausted" `Quick
             test_dpor_crash_restart_exhausted;
+        ] );
+      ( "facades",
+        [
+          Alcotest.test_case "checkpoint calls before enable raise" `Quick
+            test_facade_misuse;
         ] );
     ]

@@ -4,8 +4,11 @@
    cells, zero ranks, an odd Hydra grid, a non-number) is a usage error:
    the driver must exit 124 — Cmdliner's code for a command-line error —
    with a message on stderr that names the offending flag, before any mesh
-   or partition setup runs.  The smallest valid sizes must still run to
-   completion. *)
+   or partition setup runs.  A rank count the mesh cannot be split over
+   (more ranks than cells on a partitioned axis, or chunks thinner than the
+   ghost depth) is one too: only the partitioner knows the ghost depth, so
+   it is rejected there, with the same exit code and a message naming
+   --ranks.  The smallest valid sizes must still run to completion. *)
 
 let exe name = Filename.concat "../bin" (name ^ ".exe")
 
@@ -38,6 +41,7 @@ let usage_error name args ~flag ~expected () =
 
 let positive = "expected a positive integer"
 let positive_even = "expected a positive even integer"
+let no_fit = "ranks do not fit this mesh"
 
 let runs_clean name args () =
   let code, stderr = run name args in
@@ -78,6 +82,24 @@ let () =
           case "aero" [ "--ranks"; "0" ] ~flag:"--ranks" ~expected:positive;
           case "hydra" [ "--ranks"; "0" ] ~flag:"--ranks" ~expected:positive;
           case "cloverleaf3" [ "--ranks=-1" ] ~flag:"--ranks" ~expected:positive;
+        ] );
+      ( "rank fit",
+        [
+          case "cloverleaf"
+            [ "--nx"; "8"; "--ny"; "6"; "--backend"; "mpi"; "--ranks"; "4" ]
+            ~flag:"--ranks" ~expected:no_fit;
+          case "cloverleaf"
+            [ "--nx"; "3"; "--ny"; "3"; "--backend"; "hybrid"; "--ranks"; "5" ]
+            ~flag:"--ranks" ~expected:no_fit;
+          case "cloverleaf"
+            [ "--nx"; "2"; "--ny"; "2"; "--backend"; "mpi2d"; "--ranks"; "9" ]
+            ~flag:"--ranks" ~expected:no_fit;
+          case "tealeaf" [ "--size"; "4"; "--backend"; "mpi"; "--ranks"; "8" ]
+            ~flag:"--ranks" ~expected:no_fit;
+          case "cloverleaf3" [ "--size"; "4"; "--backend"; "mpi"; "--ranks"; "8" ]
+            ~flag:"--ranks" ~expected:no_fit;
+          case "cloverleaf3" [ "--size"; "4"; "--backend"; "pencil"; "--ranks"; "16" ]
+            ~flag:"--ranks" ~expected:no_fit;
         ] );
       ( "smallest valid sizes",
         [

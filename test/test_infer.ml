@@ -338,40 +338,42 @@ let test_idx_marker () =
   | Some v ->
     Alcotest.(check bool) "unmarked \"idx\" global probes normally" true (v <> 1.0)
 
-(* ---- runtime tightening is opt-in -------------------------------------- *)
+(* ---- halo exchanges follow the declaration ------------------------------ *)
 
 (* A distributed run whose read stencil is over-declared (5-point, kernel
-   reads only the centre): by default the sampled negative must not shrink
-   any exchange; after [set_tighten] the same program drops ghost rows. *)
-let tighten_run ~tighten =
+   reads only the centre): the never-observed reads are a sampled negative,
+   so the exchanges must move exactly the bytes of the same program whose
+   kernel reads all five points. *)
+let halo_bytes kernel =
   let ctx = Ops.create () in
   let grid = Ops.decl_block ctx ~name:"grid" in
   let u = Ops.decl_dat ctx ~name:"u" ~block:grid ~xsize:16 ~ysize:16 ~halo:1 () in
   let w = Ops.decl_dat ctx ~name:"w" ~block:grid ~xsize:16 ~ysize:16 ~halo:1 () in
   Ops.init ctx u (fun x y _ -> Float.of_int ((x * 5) + y));
-  Ops.set_tighten ctx tighten;
   Ops.partition ctx ~n_ranks:2 ~ref_ysize:16;
-  let d0 = Am_obs.Counters.value Am_obs.Obs.halo_depth_saved in
   for _ = 1 to 2 do
     Ops.par_loop ctx ~name:"bump" grid (Ops.interior u)
       [ Ops.arg_dat u Ops.stencil_point Access.Rw ]
       (fun a -> a.(0).(0) <- a.(0).(0) +. 1.0);
-    Ops.par_loop ctx ~name:"copy_centre" grid (Ops.interior u)
+    Ops.par_loop ctx ~name:"smooth" grid (Ops.interior u)
       [
         Ops.arg_dat u Ops.stencil_2d_5pt Access.Read;
         Ops.arg_dat w Ops.stencil_point Access.Write;
       ]
-      (fun a -> a.(1).(0) <- a.(0).(0))
+      kernel
   done;
-  Am_obs.Counters.value Am_obs.Obs.halo_depth_saved - d0
+  match Ops.comm_stats ctx with
+  | Some s -> s.Am_simmpi.Comm.bytes
+  | None -> Alcotest.fail "partitioned context has no communicator"
 
-let test_tighten_opt_in () =
-  Alcotest.(check bool) "tightening is off by default" false
-    (Ops.tighten_enabled (Ops.create ()));
-  Alcotest.(check int) "no ghost rows dropped by default" 0
-    (tighten_run ~tighten:false);
-  Alcotest.(check bool) "opted-in context drops ghost rows" true
-    (tighten_run ~tighten:true > 0)
+let test_halo_follows_declaration () =
+  let centre = halo_bytes (fun a -> a.(1).(0) <- a.(0).(0)) in
+  let all_five =
+    halo_bytes (fun a ->
+        a.(1).(0) <- a.(0).(0) +. a.(0).(1) +. a.(0).(2) +. a.(0).(3) +. a.(0).(4))
+  in
+  Alcotest.(check bool) "the 5-point read exchanges ghosts" true (all_five > 0);
+  Alcotest.(check int) "centre-only kernel moves the declared bytes" all_five centre
 
 (* ---- halo replay: the no-information sentinel is absorbing ------------- *)
 
@@ -457,8 +459,8 @@ let () =
             test_stencil_salt;
           Alcotest.test_case "idx probing needs the marker, not the name" `Quick
             test_idx_marker;
-          Alcotest.test_case "runtime tightening is opt-in" `Quick
-            test_tighten_opt_in;
+          Alcotest.test_case "halo exchanges follow the declaration" `Quick
+            test_halo_follows_declaration;
           Alcotest.test_case "halo merge: -1 absorbs" `Quick
             test_halo_merge_absorbing;
         ] );

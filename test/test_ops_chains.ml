@@ -211,13 +211,6 @@ let dist_shared () =
           Ops.set_rank_execution ctx (Ops.Rank_shared pool))
         ())
 
-(* Every kernel reads its whole declared stencil, so opting in to
-   footprint-driven halo tightening must not change any result. *)
-let dist_tighten =
-  random_vs_seq ~exact_sums:false (fun ctx ->
-      Ops.set_tighten ctx true;
-      Ops.partition ctx ~n_ranks:2 ~ref_ysize:ysize)
-
 (* ---- long programs ------------------------------------------------------- *)
 
 let long_script =
@@ -345,7 +338,6 @@ let () =
           Alcotest.test_case "dist(2)" `Quick (dist 2);
           Alcotest.test_case "dist(3)" `Quick (dist 3);
           Alcotest.test_case "dist(3) + shared ranks" `Quick dist_shared;
-          Alcotest.test_case "dist(2) + tighten" `Quick dist_tighten;
           Alcotest.test_case "200-step program" `Quick test_long_program;
         ] );
       ( "program order",
